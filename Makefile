@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzStoreFrozen -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzDifferential -fuzztime=$(FUZZTIME) ./internal/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzDirectives -fuzztime=$(FUZZTIME) ./internal/analysis/
+	$(GO) test -run='^$$' -fuzz=FuzzFrozenArrays -fuzztime=$(FUZZTIME) ./internal/index/
 	# The checksummed mmap format defeats coverage-keeping minimization (any
 	# trim breaks a CRC), so cap the per-input minimize budget or the engine
 	# spends its whole fuzztime minimizing instead of fuzzing.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -16,6 +17,7 @@ import (
 // binary.
 func snapFiles(t *testing.T) (graphPath, snapPath string) {
 	t.Helper()
+	bin(t, "mrsnap") // binDir is set by the first build; don't write beside the sources
 	graphPath = filepath.Join(binDir, "mmap-graph.bin")
 	snapPath = filepath.Join(binDir, "mmap-snap.mrx")
 	if _, err := os.Stat(snapPath); err != nil {
@@ -40,6 +42,10 @@ func TestMmapSmoke(t *testing.T) {
 	out := run(t, false, "mrsnap", "-graph", graphPath, "-verify", snapPath)
 	if !strings.Contains(out, "OK") {
 		t.Fatalf("mrsnap -verify did not report OK:\n%s", out)
+	}
+	// ...and say what the check covered and cost.
+	if !regexp.MustCompile(`\d+ components, \d+ sections checksummed, \d+ bytes, verified in \d`).MatchString(out) {
+		t.Fatalf("mrsnap -verify did not report what it verified:\n%s", out)
 	}
 
 	// A snapshot must be rejected when bound to the wrong graph.

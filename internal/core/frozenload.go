@@ -35,17 +35,27 @@ func FrozenMStarFromComponents(g *graph.Graph, comps []*index.Frozen, opts MStar
 // can check without materializing mutable graphs.
 func (fm *FrozenMStar) VerifyNesting() error {
 	for i := 1; i < len(fm.comps); i++ {
-		coarse, fine := fm.comps[i-1], fm.comps[i]
-		for v := 0; v < fine.NumNodes(); v++ {
-			ext := fine.Extent(index.FrozenID(v))
-			if len(ext) == 0 {
-				return fmt.Errorf("mstar: component I%d node %d has empty extent", i, v)
-			}
-			owner := coarse.NodeOf(ext[0])
-			for _, o := range ext[1:] {
-				if coarse.NodeOf(o) != owner {
-					return fmt.Errorf("mstar: component I%d node %d spans two I%d extents", i, v, i-1)
-				}
+		if err := fm.VerifyNestingAt(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// VerifyNestingAt is VerifyNesting for the one pair I(i-1), I(i), with
+// 1 ≤ i < NumComponents. Pairs read nothing but their own two components,
+// so a loader may check them concurrently.
+func (fm *FrozenMStar) VerifyNestingAt(i int) error {
+	coarse, fine := fm.comps[i-1], fm.comps[i]
+	for v := 0; v < fine.NumNodes(); v++ {
+		ext := fine.Extent(index.FrozenID(v))
+		if len(ext) == 0 {
+			return fmt.Errorf("mstar: component I%d node %d has empty extent", i, v)
+		}
+		owner := coarse.NodeOf(ext[0])
+		for _, o := range ext[1:] {
+			if coarse.NodeOf(o) != owner {
+				return fmt.Errorf("mstar: component I%d node %d spans two I%d extents", i, v, i-1)
 			}
 		}
 	}

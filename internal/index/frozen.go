@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mrx/internal/graph"
@@ -387,54 +388,74 @@ func (fz *Frozen) CheckP3() error {
 	for u := 0; u < fz.NumNodes(); u++ {
 		for _, c := range fz.Children(FrozenID(u)) {
 			if fz.ks[u] < fz.ks[c]-1 {
-				return fmt.Errorf("index: P3 violated: edge %d->%d has k(parent)=%d < k(child)-1=%d",
-					u, c, fz.ks[u], fz.ks[c]-1)
+				return p3Error(FrozenID(u), c, fz.ks)
 			}
 		}
 	}
 	return nil
 }
 
+func p3Error(u, c FrozenID, ks []int32) error {
+	return fmt.Errorf("index: P3 violated: edge %d->%d has k(parent)=%d < k(child)-1=%d", u, c, ks[u], ks[c]-1)
+}
+
 // wireCSRFromData rebuilds the child and parent CSR adjacency per P2 from
-// the data graph, using only flat arrays: per-node child lists are gathered,
-// sorted and deduplicated in place, and the parent CSR is derived from the
-// child CSR by counting. nodeOf and extentStart/extentArena must be final.
+// the data graph, using only flat arrays: per-node child sets are gathered
+// already deduplicated and sorted in place, and the parent CSR is derived
+// from the child CSR by counting. nodeOf and extentStart/extentArena must be
+// final.
 func (fz *Frozen) wireCSRFromData() {
 	n := fz.NumNodes()
 	fz.childStart = make([]int32, n+1)
 	fz.children = fz.children[:0]
-	var scratch []FrozenID
+	stamp := make([]int32, n)
 	for u := 0; u < n; u++ {
 		fz.childStart[u] = int32(len(fz.children))
-		scratch = scratch[:0]
-		for _, o := range fz.Extent(FrozenID(u)) {
-			for _, c := range fz.data.Children(o) {
-				scratch = append(scratch, fz.nodeOf[c])
-			}
-		}
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-		for i, c := range scratch {
-			if i > 0 && scratch[i-1] == c {
-				continue
-			}
-			fz.children = append(fz.children, c)
-		}
+		fz.children = fz.appendInducedChildren(fz.children, FrozenID(u), stamp)
+		slices.Sort(fz.children[fz.childStart[u]:])
 	}
 	fz.childStart[n] = int32(len(fz.children))
+	fz.parentStart, fz.parents = transposeCSR(fz.childStart, fz.children)
+}
 
-	fz.parentStart = make([]int32, n+1)
-	for _, c := range fz.children {
-		fz.parentStart[c+1]++
+// transposeCSR derives the parent CSR of a well-formed child CSR by
+// counting: each parent list comes out in ascending order.
+func transposeCSR(childStart []int32, children []FrozenID) (parentStart []int32, parents []FrozenID) {
+	n := len(childStart) - 1
+	parentStart = make([]int32, n+1)
+	for _, c := range children {
+		parentStart[c+1]++
 	}
 	for i := 0; i < n; i++ {
-		fz.parentStart[i+1] += fz.parentStart[i]
+		parentStart[i+1] += parentStart[i]
 	}
-	fz.parents = make([]FrozenID, len(fz.children))
-	fill := append([]int32(nil), fz.parentStart[:n]...)
+	parents = make([]FrozenID, len(children))
+	fill := slices.Clone(parentStart[:n])
 	for u := 0; u < n; u++ {
-		for _, c := range fz.Children(FrozenID(u)) {
-			fz.parents[fill[c]] = FrozenID(u)
+		for _, c := range children[childStart[u]:childStart[u+1]] {
+			parents[fill[c]] = FrozenID(u)
 			fill[c]++
 		}
 	}
+	return parentStart, parents
+}
+
+// appendInducedChildren appends to dst the child set P2 induces for u — the
+// distinct owners of the data children of u's extent — in first-seen order.
+// It is the one derivation of index edges from the data graph, shared by the
+// writer (wireCSRFromData sorts the result) and the checker (verifyCSR
+// compares it as a set). stamp has one entry per index node and is left
+// holding u+1 exactly at the appended nodes; pass it zeroed to the first
+// call and unchanged to calls for other nodes.
+func (fz *Frozen) appendInducedChildren(dst []FrozenID, u FrozenID, stamp []int32) []FrozenID {
+	mark := int32(u) + 1
+	for _, o := range fz.Extent(u) {
+		for _, c := range fz.data.Children(o) {
+			if w := fz.nodeOf[c]; stamp[w] != mark {
+				stamp[w] = mark
+				dst = append(dst, w)
+			}
+		}
+	}
+	return dst
 }

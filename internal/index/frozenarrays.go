@@ -147,6 +147,11 @@ func checkBounds(kind string, start []int32, arenaLen int) error {
 //     and the parent CSR is its exact transpose;
 //   - label buckets are ascending, agree with Labels, and cover every node;
 //   - P3: every edge u→v has k(u) ≥ k(v) − 1.
+//
+// The walk is linear — O(index nodes + index edges + data nodes + data
+// edges), nothing sorted, two scratch arrays of one int32 per index node —
+// and reads only this snapshot and the data graph, so a loader may verify
+// the components of one file concurrently.
 func (fz *Frozen) Verify() error {
 	n := fz.NumNodes()
 	data := fz.data
@@ -206,67 +211,55 @@ func (fz *Frozen) Verify() error {
 	if err := fz.verifyCSR(); err != nil {
 		return err
 	}
-	if err := fz.verifyLabelBuckets(); err != nil {
-		return err
-	}
-	return fz.CheckP3()
+	return fz.verifyLabelBuckets()
 }
 
-// verifyCSR re-derives the child adjacency from the data graph (P2) and
-// checks both CSR halves against it: the stored child lists must match the
-// derived ones exactly, and the parent CSR must be the exact transpose.
+// verifyCSR checks both CSR halves and P3 in one pass over the child edges,
+// in time linear in index plus data edges; offsets, ks and nodeOf must
+// already be verified. Per node u the stored child list must be in range,
+// strictly ascending, as long as the set the data graph induces (P2) and
+// inside it — so equal to it. The parent CSR is checked by transposing with
+// a cursor: edges u→c are walked in ascending u, so the next unmatched slot
+// of c's parent list must hold u, and a list that ends up exactly consumed
+// is c's parents in ascending order, nothing missing and nothing extra.
 func (fz *Frozen) verifyCSR() error {
 	n := fz.NumNodes()
-	var scratch []FrozenID
+	stamp := make([]int32, n)
+	matched := make([]int32, n) // parent-list entries of each node consumed so far
+	var induced []FrozenID
 	for u := 0; u < n; u++ {
-		scratch = scratch[:0]
-		for _, o := range fz.Extent(FrozenID(u)) {
-			for _, c := range fz.data.Children(o) {
-				scratch = append(scratch, fz.nodeOf[c])
-			}
+		induced = fz.appendInducedChildren(induced[:0], FrozenID(u), stamp)
+		stored := fz.Children(FrozenID(u))
+		if len(stored) != len(induced) {
+			return fmt.Errorf("index: verify: node %d has %d child edges, data graph induces %d", u, len(stored), len(induced))
 		}
-		scratch = sortDedupFrozenIDs(scratch)
-		got := fz.Children(FrozenID(u))
-		if len(got) != len(scratch) {
-			return fmt.Errorf("index: verify: node %d has %d child edges, data graph induces %d", u, len(got), len(scratch))
-		}
-		for i := range got {
-			if got[i] != scratch[i] {
-				return fmt.Errorf("index: verify: node %d child list diverges from data graph at %d", u, i)
+		for i, c := range stored {
+			if c < 0 || int(c) >= n {
+				return fmt.Errorf("index: verify: child edge to %d out of range", c)
 			}
+			if i > 0 && stored[i-1] >= c {
+				return fmt.Errorf("index: verify: node %d child list not strictly ascending", u)
+			}
+			if stamp[c] != int32(u)+1 {
+				return fmt.Errorf("index: verify: child edge %d->%d is not induced by the data graph", u, c)
+			}
+			if fz.ks[u] < fz.ks[c]-1 {
+				return p3Error(FrozenID(u), c, fz.ks)
+			}
+			at := fz.parentStart[c] + matched[c]
+			if at >= fz.parentStart[c+1] || fz.parents[at] != FrozenID(u) {
+				return fmt.Errorf("index: verify: child edge %d->%d has no parent counterpart in ascending order", u, c)
+			}
+			matched[c]++
 		}
 	}
-	// Transpose check: count parents per node, then verify each parent list
-	// is ascending and that every child edge appears exactly once.
-	counts := make([]int32, n)
-	for _, c := range fz.children {
-		if c < 0 || int(c) >= n {
-			return fmt.Errorf("index: verify: child edge to %d out of range", c)
-		}
-		counts[c]++
-	}
+	// No list was overrun, so a parent edge without a child counterpart shows
+	// as a list not consumed to its end. (FrozenFromArrays wires only halves
+	// of equal length, which already rules that out; Verify does not lean on
+	// it.)
 	for v := 0; v < n; v++ {
-		ps := fz.Parents(FrozenID(v))
-		if int(counts[v]) != len(ps) {
-			return fmt.Errorf("index: verify: node %d has %d parent edges, child CSR induces %d", v, len(ps), counts[v])
-		}
-		for i, p := range ps {
-			if p < 0 || int(p) >= n {
-				return fmt.Errorf("index: verify: parent edge to %d out of range", p)
-			}
-			if i > 0 && ps[i-1] >= p {
-				return fmt.Errorf("index: verify: node %d parent list not strictly ascending", v)
-			}
-			found := false
-			for _, c := range fz.Children(p) {
-				if int(c) == v {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("index: verify: parent edge %d->%d has no child counterpart", p, v)
-			}
+		if ps := fz.parentStart[v+1] - fz.parentStart[v]; matched[v] != ps {
+			return fmt.Errorf("index: verify: node %d has %d parent edges, child CSR induces %d", v, ps, matched[v])
 		}
 	}
 	return nil
@@ -296,22 +289,4 @@ func (fz *Frozen) verifyLabelBuckets() error {
 		return fmt.Errorf("index: verify: label buckets cover %d nodes, snapshot has %d", total, n)
 	}
 	return nil
-}
-
-// sortDedupFrozenIDs sorts ids ascending and removes duplicates in place.
-func sortDedupFrozenIDs(ids []FrozenID) []FrozenID {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
-	w := 0
-	for i, v := range ids {
-		if i > 0 && v == ids[w-1] {
-			continue
-		}
-		ids[w] = v
-		w++
-	}
-	return ids[:w]
 }

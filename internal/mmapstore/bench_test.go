@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mrx/internal/core"
+	"mrx/internal/datagen"
 	"mrx/internal/graph"
 	"mrx/internal/gtest"
 	"mrx/internal/pathexpr"
@@ -32,39 +33,72 @@ type benchIndex struct {
 
 // benchCache shares the expensive index builds across benchmarks in one
 // `go test -bench` process; builds are never timed.
-var benchCache = map[int]*benchIndex{}
+var benchCache = map[string]*benchIndex{}
 
-func benchSetup(b *testing.B, nodes int) *benchIndex {
+// benchBuild refines M*(k) over g for the supportable part of workload and
+// serializes it both ways, once per key.
+func benchBuild(b *testing.B, key string, g func() *graph.Graph, workload func(*graph.Graph) []string) *benchIndex {
 	b.Helper()
-	if bi, ok := benchCache[nodes]; ok {
+	if bi, ok := benchCache[key]; ok {
 		return bi
 	}
-	g := gtest.Random(int64(nodes), nodes, 8, 0.2)
-	ms := core.NewMStar(g)
-	var exprs []*pathexpr.Expr
-	for _, s := range gtest.RandomWorkload(int64(nodes)+1, g, gtest.WorkloadOptions{Size: 24, MaxLen: 4}) {
+	bi := &benchIndex{g: g()}
+	ms := core.NewMStar(bi.g)
+	for _, s := range workload(bi.g) {
 		e, err := pathexpr.Parse(s)
 		if err != nil {
 			b.Fatalf("parse %q: %v", s, err)
 		}
-		exprs = append(exprs, e)
+		bi.exprs = append(bi.exprs, e)
 		if !e.HasWildcard() && e.RequiredK() != pathexpr.Unbounded {
 			ms.Support(e)
 		}
 	}
-	fm := ms.Freeze()
+	bi.fm = ms.Freeze()
 
 	var snap bytes.Buffer
-	if err := Write(&snap, fm, WriteOptions{}); err != nil {
+	if err := Write(&snap, bi.fm, WriteOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	var heap bytes.Buffer
 	if err := store.WriteMStar(&heap, ms); err != nil {
 		b.Fatal(err)
 	}
-	bi := &benchIndex{g: g, fm: fm, exprs: exprs, snap: snap.Bytes(), heap: heap.Bytes()}
-	benchCache[nodes] = bi
+	bi.snap, bi.heap = snap.Bytes(), heap.Bytes()
+	benchCache[key] = bi
 	return bi
+}
+
+func benchSetup(b *testing.B, nodes int) *benchIndex {
+	b.Helper()
+	return benchBuild(b, fmt.Sprintf("n=%d", nodes),
+		func() *graph.Graph { return gtest.Random(int64(nodes), nodes, 8, 0.2) },
+		func(g *graph.Graph) []string {
+			return gtest.RandomWorkload(int64(nodes)+1, g, gtest.WorkloadOptions{Size: 24, MaxLen: 4})
+		})
+}
+
+// benchXMark is the document-shaped subject: XMark at paper scale, about
+// 120k data nodes under 74 labels, so I0 packs tens of thousands of data
+// nodes into single extents whose children spread over dozens of index
+// nodes. gtest.Random's uniform extents never showed what verification
+// costs on that shape. Unrefined it is I0 alone; refined it carries the
+// finer components a handful of FUPs add.
+func benchXMark(b *testing.B, refined bool) *benchIndex {
+	b.Helper()
+	key, fups := "xmark-I0", []string(nil)
+	if refined {
+		key, fups = "xmark-refined", []string{
+			"//open_auction/bidder/personref",
+			"//closed_auction/annotation/description/parlist/listitem",
+			"//person/profile/interest",
+			"//item/mailbox/mail/text",
+			"//regions/europe/item/name",
+		}
+	}
+	return benchBuild(b, key,
+		func() *graph.Graph { return datagen.XMarkGraph(1.0, 1) },
+		func(*graph.Graph) []string { return fups })
 }
 
 // benchSnapFile materializes the encoded snapshot on disk for the mmap open
@@ -84,15 +118,28 @@ func benchSnapFile(b *testing.B, bi *benchIndex) string {
 //   - heap: store.ReadMStar + Freeze — every array deserialized and
 //     reallocated, so cost grows linearly with the index.
 //   - mmap-verified: Open with full checksum + deep structural verification
-//     — also linear, but streaming over mapped bytes with no allocation
-//     proportional to the extents.
+//     — linear in index plus data-graph size too (one pass per component,
+//     components in parallel), streaming over mapped bytes with no
+//     allocation proportional to the extents.
 //   - mmap-trusted: Open with Trusted — header, directory and aliasing
 //     only, so cost is O(components) no matter how large the file is.
+//
+// The subjects are random graphs across three sizes plus XMark, unrefined
+// and refined (see benchXMark).
 func BenchmarkColdStart(b *testing.B) {
+	type subject struct {
+		name string
+		bi   *benchIndex
+	}
+	var subjects []subject
 	for _, n := range benchSizes {
-		bi := benchSetup(b, n)
+		subjects = append(subjects, subject{fmt.Sprintf("n=%d", n), benchSetup(b, n)})
+	}
+	subjects = append(subjects, subject{"xmark-I0", benchXMark(b, false)}, subject{"xmark-refined", benchXMark(b, true)})
+	for _, sub := range subjects {
+		n, bi := sub.name, sub.bi
 		path := benchSnapFile(b, bi)
-		b.Run(fmt.Sprintf("n=%d/heap", n), func(b *testing.B) {
+		b.Run(n+"/heap", func(b *testing.B) {
 			b.SetBytes(int64(len(bi.heap)))
 			for i := 0; i < b.N; i++ {
 				ms, err := store.ReadMStar(bytes.NewReader(bi.heap), bi.g)
@@ -102,7 +149,7 @@ func BenchmarkColdStart(b *testing.B) {
 				_ = ms.Freeze()
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/mmap-verified", n), func(b *testing.B) {
+		b.Run(n+"/mmap-verified", func(b *testing.B) {
 			b.SetBytes(int64(len(bi.snap)))
 			for i := 0; i < b.N; i++ {
 				snap, err := Open(path, bi.g, Options{})
@@ -112,7 +159,7 @@ func BenchmarkColdStart(b *testing.B) {
 				snap.Close()
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/mmap-trusted", n), func(b *testing.B) {
+		b.Run(n+"/mmap-trusted", func(b *testing.B) {
 			b.SetBytes(int64(len(bi.snap)))
 			for i := 0; i < b.N; i++ {
 				snap, err := Open(path, bi.g, Options{Trusted: true})

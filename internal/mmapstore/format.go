@@ -5,9 +5,11 @@
 // size), mmapstore lays the exact flat arrays of index.Frozen out in the
 // file — 64-byte-aligned, native byte order, addressed by a byte-offset
 // section directory — so the reader can mmap the file and wire a
-// core.FrozenMStar directly over the mapped bytes. Cold start is O(1) in
-// index size: the kernel pages index data in on first touch, and an index
-// larger than RAM serves from disk with the page cache as its buffer pool.
+// core.FrozenMStar directly over the mapped bytes. Nothing is deserialized:
+// the kernel pages index data in on first touch, and an index larger than
+// RAM serves from disk with the page cache as its buffer pool. A trusted
+// open is O(1) in index size; the default verified open reads everything
+// once.
 //
 // File layout (all multi-byte fields in the file's byte order, which the
 // reader detects from the byte-order mark):
@@ -32,9 +34,10 @@
 // and per-section checksums, then a deep structural walk
 // (index.Frozen.Verify, FrozenMStar.VerifyNesting) — so a truncated,
 // bit-flipped, or adversarial file is rejected with an error, never a
-// panic, over-read, or silently wrong answer. Options.Trusted skips the
-// checksums and the deep walk for files the process just published itself,
-// keeping reopen O(1).
+// panic, over-read, or silently wrong answer. The whole check is linear in
+// the file plus the data graph and runs one component per core.
+// Options.Trusted skips the checksums and the deep walk for files the
+// process just published itself, keeping reopen O(1).
 package mmapstore
 
 import (

@@ -2,8 +2,14 @@ package mmapstore
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mrx/internal/core"
@@ -248,5 +254,101 @@ func TestOpenRejectsNonSnapshotFile(t *testing.T) {
 	}
 	if _, err := Open(filepath.Join(t.TempDir(), "missing"), g, Options{}); err == nil {
 		t.Fatal("accepted a missing file")
+	}
+}
+
+// corruptSection returns a copy of the valid snapshot enc with the first
+// element of one section overwritten. With reseal the section and directory
+// checksums are recomputed, so the damage gets past the CRCs and is left for
+// the structural walk to find; without, the section checksum catches it.
+func corruptSection(tb testing.TB, enc []byte, comp, kind int, val int32, reseal bool) []byte {
+	tb.Helper()
+	h, err := parseHeader(enc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ents, err := parseDirectory(enc, h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := append([]byte(nil), enc...)
+	idx := comp*numSections + kind
+	e := ents[idx]
+	if e.enc != encRaw32 || e.size < 4 {
+		tb.Fatalf("section %s cannot take an int32", e.name())
+	}
+	if int32(h.order.Uint32(out[e.off:])) == val {
+		tb.Fatalf("section %s already starts with %d", e.name(), val)
+	}
+	h.order.PutUint32(out[e.off:], uint32(val))
+	if reseal {
+		dir := out[headerSize : headerSize+int(h.sections)*dirEntrySize]
+		e.crc = crc32.Checksum(out[e.off:e.off+e.size], castagnoli)
+		putDirEntry(dir[idx*dirEntrySize:], h.order, e)
+		h.order.PutUint32(out[56:60], crc32.Checksum(dir, castagnoli))
+	}
+	return out
+}
+
+// TestParallelRejectionIsDeterministic damages two components at once, in
+// every combination of "caught by a checksum" and "caught by the structural
+// walk", and opens the file repeatedly on more workers than components: the
+// error must always be the lower-numbered component's, word for word, never
+// whichever worker lost the race.
+func TestParallelRejectionIsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	g, fm, _ := testIndex(t, 11)
+	nc := fm.NumComponents()
+	if nc < 3 {
+		t.Fatalf("need three components to corrupt two and leave one, have %d", nc)
+	}
+	enc := encode(t, fm, WriteOptions{})
+	for i := 0; i < nc; i++ {
+		for j := i + 1; j < nc; j++ {
+			for _, sealed := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+				// A negative k: harmless to parsing, fatal to Verify.
+				bad := corruptSection(t, enc, j, secKs, -7, sealed[1])
+				bad = corruptSection(t, bad, i, secKs, -7, sealed[0])
+				name := fmt.Sprintf("I%d", i)
+				var first string
+				for rep := 0; rep < 25; rep++ {
+					_, err := OpenBytes(bad, g, Options{})
+					if err == nil {
+						t.Fatalf("I%d+I%d damaged (resealed %v): accepted", i, j, sealed)
+					}
+					if !strings.Contains(err.Error(), name) {
+						t.Fatalf("I%d+I%d damaged (resealed %v): error %q does not name %s", i, j, sealed, err, name)
+					}
+					if rep == 0 {
+						first = err.Error()
+					} else if err.Error() != first {
+						t.Fatalf("I%d+I%d damaged (resealed %v): error changed between opens: %q then %q", i, j, sealed, first, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestLowestError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for n := 0; n <= 8; n++ {
+		for fails := 0; fails < 1<<n; fails++ { // every subset of failing indices
+			var calls atomic.Int32
+			err := lowestError(n, func(i int) error {
+				calls.Add(1)
+				if fails&(1<<i) != 0 {
+					return fmt.Errorf("%d", i)
+				}
+				return nil
+			})
+			want := bits.TrailingZeros(uint(fails))
+			switch {
+			case fails == 0 && (err != nil || int(calls.Load()) != n):
+				t.Fatalf("n=%d, none failing: err %v after %d calls", n, err, calls.Load())
+			case fails != 0 && (err == nil || err.Error() != fmt.Sprint(want)):
+				t.Fatalf("n=%d, failing set %b: got %v, want %d", n, fails, err, want)
+			}
+		}
 	}
 }

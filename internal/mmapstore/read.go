@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"mrx/internal/core"
 	"mrx/internal/graph"
@@ -15,12 +18,15 @@ import (
 // Options configures snapshot loading.
 type Options struct {
 	// Trusted skips the per-section checksums and the deep structural walk
-	// (index.Frozen.Verify, VerifyNesting), keeping open time O(1) in index
-	// size. Reserve it for files this process (or its deployment pipeline)
-	// published itself — the engine reopening its own atomic publish, the
-	// cold-start path of an operator-controlled index file. Untrusted input
-	// must go through the default full verification: parsing alone only
-	// proves the sections are in-bounds, not that their contents are sane.
+	// (index.Frozen.Verify, VerifyNesting), making open O(components)
+	// instead of linear in the file and the data graph. The default full
+	// verification is one pass per component, components in parallel —
+	// about a millisecond per component per 100k data nodes — so Trusted is
+	// an optimization for the engine reopening its own atomic publish many
+	// times a second, not a precondition for a usable cold start. It is only
+	// sound for files this process (or its deployment pipeline) published
+	// itself: parsing alone proves the sections are in-bounds, not that
+	// their contents are sane.
 	Trusted bool
 
 	// ForceCopy decodes every section onto the heap even when a zero-copy
@@ -57,37 +63,84 @@ func parse(data []byte, g *graph.Graph, o Options) (*core.FrozenMStar, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !o.Trusted {
-		for _, e := range ents {
-			if got := crc32.Checksum(data[e.off:e.off+e.size], castagnoli); got != e.crc {
-				return nil, fmt.Errorf("mmapstore: section %s checksum mismatch", e.name())
+	comps := make([]*index.Frozen, h.components)
+	// A component's checksums, wiring and deep walk read nothing but its own
+	// 12 sections and the shared read-only data graph, so untrusted opens
+	// run one component per core.
+	component := func(i int) error {
+		secs := ents[i*numSections : (i+1)*numSections]
+		if !o.Trusted {
+			for _, e := range secs {
+				if got := crc32.Checksum(data[e.off:e.off+e.size], castagnoli); got != e.crc {
+					return fmt.Errorf("mmapstore: section %s checksum mismatch", e.name())
+				}
 			}
 		}
-	}
-
-	comps := make([]*index.Frozen, h.components)
-	for i := range comps {
-		fz, err := buildComponent(data, ents[i*numSections:(i+1)*numSections], g, h.order, o.ForceCopy)
+		fz, err := buildComponent(data, secs, g, h.order, o.ForceCopy)
 		if err != nil {
-			return nil, fmt.Errorf("mmapstore: component I%d: %w", i, err)
+			return fmt.Errorf("mmapstore: component I%d: %w", i, err)
 		}
 		comps[i] = fz
+		if !o.Trusted {
+			if err := fz.Verify(); err != nil {
+				return fmt.Errorf("mmapstore: component I%d: %w", i, err)
+			}
+		}
+		return nil
+	}
+	if o.Trusted {
+		for i := range comps {
+			if err := component(i); err != nil {
+				return nil, err
+			}
+		}
+	} else if err := lowestError(len(comps), component); err != nil {
+		return nil, err
 	}
 	fm, err := core.FrozenMStarFromComponents(g, comps, o.MStar)
 	if err != nil {
 		return nil, fmt.Errorf("mmapstore: %w", err)
 	}
 	if !o.Trusted {
-		for i, fz := range comps {
-			if err := fz.Verify(); err != nil {
-				return nil, fmt.Errorf("mmapstore: component I%d: %w", i, err)
-			}
-		}
-		if err := fm.VerifyNesting(); err != nil {
+		if err := lowestError(len(comps)-1, func(i int) error { return fm.VerifyNestingAt(i + 1) }); err != nil {
 			return nil, fmt.Errorf("mmapstore: %w", err)
 		}
 	}
 	return fm, nil
+}
+
+// lowestError runs fn(0..n-1) on min(GOMAXPROCS, n) goroutines, joins them
+// all, and returns the error of the lowest index that failed — what a
+// sequential loop would return, so rejection does not depend on scheduling.
+// Indices are claimed in ascending order and nothing new is claimed once any
+// call has failed: whatever was skipped lies above the failed index.
+func lowestError(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if errs[i] = fn(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parseHeader decodes and validates the fixed 64-byte header, detecting the

@@ -45,6 +45,10 @@ func (s *Snapshot) Mapped() bool { return s.mapped }
 // SizeBytes returns the size of the backing file or buffer.
 func (s *Snapshot) SizeBytes() int64 { return int64(len(s.data)) }
 
+// Sections returns the number of checksummed sections in the file: a fixed
+// set per component.
+func (s *Snapshot) Sections() int { return s.fm.NumComponents() * numSections }
+
 // Close releases the mapping. The caller must guarantee that no query is
 // running against the view and that it will not be queried again; the
 // GC-driven cleanup path (simply dropping all references) is the safe
