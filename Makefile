@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-stats test race check bench bench-smoke drift-smoke serve-smoke chaos-smoke chaos-bench mmap-smoke fuzz cover
+.PHONY: all build fmt vet lint lint-stats test race check bench bench-smoke drift-smoke serve-smoke chaos-smoke chaos-bench mmap-smoke fuzz cover
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file in the repository is not gofmt-formatted.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above need formatting"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -30,10 +34,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is what CI runs: static analysis (vet + mrlint + the suppression
-# ceiling), a full build, and the test suite under the race detector (the
-# Engine's concurrency tests need it).
-check: vet lint lint-stats build race
+# check is what CI runs: formatting, static analysis (vet + mrlint + the
+# suppression ceiling), a full build, and the test suite under the race
+# detector (the Engine's concurrency tests need it).
+check: fmt vet lint lint-stats build race
 
 # bench runs every benchmark with -benchmem and archives the results as
 # machine-readable JSON under results/ (cmd/benchjson parses the standard

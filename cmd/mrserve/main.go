@@ -18,9 +18,13 @@
 //
 // Endpoints:
 //
-//	GET /query?q=//a/b[&answers=1]   evaluate one path expression (JSON)
+//	GET /query?q=//a/b               answer count, costs and precision (JSON)
+//	GET /query?q=//a/b&answers=1     the same plus the answer's node ids
 //	GET /stats                       serving + engine counters (JSON)
 //	GET /healthz                     liveness probe
+//
+// Without answers=1 the engine counts the answer from the index extents
+// and never copies an id (CountCtx), so that is the cheap request.
 //
 // Overload policy: at most -max-concurrent queries evaluate at once; up to
 // -queue-depth more wait, each at most -queue-timeout; beyond that — or

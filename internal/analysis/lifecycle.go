@@ -162,9 +162,9 @@ func (s *lcScan) scanFunc(pkg *Package, decl *ast.FuncDecl) {
 
 	var tickers []tickerLocal
 	var cancels []cancelLocal
-	stopRefs := make(map[types.Object]bool)  // v.Stop seen on local/param v
-	selBase := make(map[*ast.Ident]bool)     // idents that are the X of a selector
-	lhsIdents := make(map[*ast.Ident]bool)   // idents assigned to (any AssignStmt LHS)
+	stopRefs := make(map[types.Object]bool) // v.Stop seen on local/param v
+	selBase := make(map[*ast.Ident]bool)    // idents that are the X of a selector
+	lhsIdents := make(map[*ast.Ident]bool)  // idents assigned to (any AssignStmt LHS)
 
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mrx/internal/graph"
 	"mrx/internal/index"
@@ -106,25 +107,29 @@ func (fm *FrozenMStar) Query(e *pathexpr.Expr) query.Result {
 
 // QueryOpts evaluates e with the configured strategy under explicit
 // validation options, reporting which strategy ran. This is the engine's
-// read path: it touches only frozen arrays.
+// read path: it touches only frozen arrays, and its traversal state (the
+// visited-set stamps and the frontier buffers) comes from the query
+// package's scratch pool, so a warm process allocates none of it.
 //
 //mrx:hotpath root of every frozen query strategy (naive, top-down, subpath, auto)
 func (fm *FrozenMStar) QueryOpts(e *pathexpr.Expr, opt query.ValidateOpts) (query.Result, Strategy) {
+	sc := query.GetScratch()
+	defer query.PutScratch(sc)
 	switch fm.opts.Strategy {
 	case StrategyNaive:
-		return fm.queryNaive(e, opt), StrategyNaive
+		return fm.queryNaive(sc, e, opt), StrategyNaive
 	case StrategyAuto:
-		return fm.queryAuto(e, opt)
+		return fm.queryAuto(sc, e, opt)
 	case StrategySubpath:
 		if e.Rooted || e.HasDescendantStep() {
-			return fm.queryNaive(e, opt), StrategyNaive
+			return fm.queryNaive(sc, e, opt), StrategyNaive
 		}
 		_, start, end := fm.planner().estimateBestSubpath(e)
-		return fm.querySubpath(e, start, end, opt), StrategySubpath
+		return fm.querySubpath(sc, e, start, end, opt), StrategySubpath
 	default:
 		// Top-down, including the unported bottom-up and hybrid
 		// demonstration strategies (see the type comment).
-		return fm.queryTopDown(e, opt), StrategyTopDown
+		return fm.queryTopDown(sc, e, opt), StrategyTopDown
 	}
 }
 
@@ -144,9 +149,9 @@ func (fm *FrozenMStar) countAt(level int, s pathexpr.Step) int {
 	return comp.CountLabel(l)
 }
 
-func (fm *FrozenMStar) queryAuto(e *pathexpr.Expr, opt query.ValidateOpts) (query.Result, Strategy) {
+func (fm *FrozenMStar) queryAuto(sc *query.Scratch, e *pathexpr.Expr, opt query.ValidateOpts) (query.Result, Strategy) {
 	if e.Rooted || e.HasDescendantStep() {
-		return fm.queryNaive(e, opt), StrategyNaive
+		return fm.queryNaive(sc, e, opt), StrategyNaive
 	}
 	p := fm.planner()
 	naive := p.estimateNaive(e)
@@ -154,154 +159,150 @@ func (fm *FrozenMStar) queryAuto(e *pathexpr.Expr, opt query.ValidateOpts) (quer
 	sub, start, end := p.estimateBestSubpath(e)
 	switch {
 	case sub < naive && sub < top:
-		return fm.querySubpath(e, start, end, opt), StrategySubpath
+		return fm.querySubpath(sc, e, start, end, opt), StrategySubpath
 	case top <= naive:
-		return fm.queryTopDown(e, opt), StrategyTopDown
+		return fm.queryTopDown(sc, e, opt), StrategyTopDown
 	default:
-		return fm.queryNaive(e, opt), StrategyNaive
+		return fm.queryNaive(sc, e, opt), StrategyNaive
 	}
 }
 
 // queryNaive evaluates e entirely in component I_min(length, finest).
-func (fm *FrozenMStar) queryNaive(e *pathexpr.Expr, opt query.ValidateOpts) query.Result {
+func (fm *FrozenMStar) queryNaive(sc *query.Scratch, e *pathexpr.Expr, opt query.ValidateOpts) query.Result {
 	lvl := fm.planner().clampLevel(e.RequiredK())
-	return query.EvalFrozenOpts(fm.comps[lvl], e, opt)
+	return sc.EvalFrozen(fm.comps[lvl], e, opt)
 }
 
-// finish collects the answer from the frozen targets, mirroring
-// MStar.finish.
-func (fm *FrozenMStar) finish(res *query.Result, comp *index.Frozen, e *pathexpr.Expr, opt query.ValidateOpts) {
-	res.Answer, res.Cost.DataNodes, res.Precise, _ = query.CollectAnswersFrozen(comp, e, res.FrozenTargets, opt)
+// finish sorts the frozen targets and collects the answer from them,
+// mirroring MStar.finish. targets is the frontier last written into sc;
+// finish hands the grown buffers back to sc.
+func (fm *FrozenMStar) finish(sc *query.Scratch, res *query.Result, comp *index.Frozen, e *pathexpr.Expr, targets, spare []index.FrozenID, opt query.ValidateOpts) {
+	sc.Cur, sc.Spare = targets, spare
+	slices.Sort(targets)
+	query.CollectAnswersFrozen(comp, e, targets, opt, res)
 }
 
 // queryTopDown is QUERYTOPDOWN over frozen components: evaluate each prefix
 // of e in the coarsest component that can support it, descending through
 // the partition hierarchy. Rooted expressions fall back to naive
 // evaluation, exactly like the mutable implementation.
-func (fm *FrozenMStar) queryTopDown(e *pathexpr.Expr, opt query.ValidateOpts) query.Result {
+//
+// Every step reads the frontier cur and appends the next one into spare,
+// then the two buffers swap; both come from sc.
+func (fm *FrozenMStar) queryTopDown(sc *query.Scratch, e *pathexpr.Expr, opt query.ValidateOpts) query.Result {
 	if e.Rooted || e.HasDescendantStep() {
-		return fm.queryNaive(e, opt)
+		return fm.queryNaive(sc, e, opt)
 	}
 	var res query.Result
-	res.Precise = true
 	maxLvl := len(fm.comps) - 1
 
-	frontier := fm.initialFrontier(fm.comps[0], e.Steps[0], &res.Cost)
+	cur := fm.initialFrontier(sc.Cur[:0], fm.comps[0], e.Steps[0], &res.Cost)
+	spare := sc.Spare[:0]
 	prev := 0
 	comp := fm.comps[0]
-	for i := 1; i < len(e.Steps) && len(frontier) > 0; i++ {
-		lvl := i
-		if lvl > maxLvl {
-			lvl = maxLvl
-		}
+	for i := 1; i < len(e.Steps) && len(cur) > 0; i++ {
+		lvl := min(i, maxLvl)
 		if lvl != prev {
-			frontier = fm.descend(frontier, fm.comps[prev], fm.comps[lvl])
-			res.Cost.IndexNodes += len(frontier)
+			spare = descend(spare[:0], &sc.Mark, cur, fm.comps[prev], fm.comps[lvl])
+			cur, spare = spare, cur
+			res.Cost.IndexNodes += len(cur)
 			prev = lvl
 		}
 		comp = fm.comps[lvl]
-		frontier = expandStep(comp, fm.data, frontier, e.Steps[i], &res.Cost)
+		spare = expandStep(spare[:0], &sc.Mark, comp, fm.data, cur, e.Steps[i], &res.Cost)
+		cur, spare = spare, cur
 	}
-	sortFrozenIDs(frontier)
-	res.FrozenTargets = frontier
-	fm.finish(&res, comp, e, opt)
+	fm.finish(sc, &res, comp, e, cur, spare, opt)
 	return res
 }
 
-// initialFrontier materializes the step-0 frontier in a component.
-func (fm *FrozenMStar) initialFrontier(comp *index.Frozen, s pathexpr.Step, cost *query.Cost) []index.FrozenID {
-	var frontier []index.FrozenID
+// initialFrontier appends the step-0 frontier in a component to dst.
+func (fm *FrozenMStar) initialFrontier(dst []index.FrozenID, comp *index.Frozen, s pathexpr.Step, cost *query.Cost) []index.FrozenID {
 	if s.Wildcard {
-		frontier = make([]index.FrozenID, comp.NumNodes())
-		for i := range frontier {
-			frontier[i] = index.FrozenID(i)
+		for i := 0; i < comp.NumNodes(); i++ {
+			dst = append(dst, index.FrozenID(i))
 		}
 	} else if l, ok := fm.data.LabelIDOf(s.Label); ok {
-		frontier = append(frontier, comp.NodesWithLabel(l)...)
+		dst = append(dst, comp.NodesWithLabel(l)...)
 	}
-	cost.IndexNodes += len(frontier)
-	return frontier
+	cost.IndexNodes += len(dst)
+	return dst
 }
 
-// expandStep follows child edges from the frontier, keeping label matches,
-// deduplicated through a stamp array.
-func expandStep(comp *index.Frozen, data *graph.Graph, frontier []index.FrozenID, s pathexpr.Step, cost *query.Cost) []index.FrozenID {
-	seen := query.NewMark(comp.NumNodes())
-	seen.Next()
-	next := make([]index.FrozenID, 0, len(frontier))
+// expandStep follows child edges from the frontier, appending label matches
+// to dst, deduplicated through the stamp array seen.
+func expandStep(dst []index.FrozenID, seen *query.Mark, comp *index.Frozen, data *graph.Graph, frontier []index.FrozenID, s pathexpr.Step, cost *query.Cost) []index.FrozenID {
+	seen.Reset(comp.NumNodes())
 	for _, u := range frontier {
 		for _, c := range comp.Children(u) {
 			cost.IndexNodes++
 			if !seen.Seen(c) && s.Matches(data.LabelName(comp.Label(c))) {
 				seen.Set(c)
-				next = append(next, c)
+				dst = append(dst, c)
 			}
 		}
 	}
-	return next
+	return dst
 }
 
 // descend maps a frontier of coarse-component nodes to their subnodes in the
 // fine component, via extent membership (supernode/subnode links are
-// derived, not stored — same as the mutable index).
-func (fm *FrozenMStar) descend(frontier []index.FrozenID, coarse, fine *index.Frozen) []index.FrozenID {
-	seen := query.NewMark(fine.NumNodes())
-	seen.Next()
-	out := make([]index.FrozenID, 0, len(frontier))
+// derived, not stored — same as the mutable index), appending them to dst in
+// ascending order.
+func descend(dst []index.FrozenID, seen *query.Mark, frontier []index.FrozenID, coarse, fine *index.Frozen) []index.FrozenID {
+	seen.Reset(fine.NumNodes())
 	for _, u := range frontier {
 		for _, o := range coarse.Extent(u) {
 			n := fine.NodeOf(o)
 			if !seen.Seen(n) {
 				seen.Set(n)
-				out = append(out, n)
+				dst = append(dst, n)
 			}
 		}
 	}
-	sortFrozenIDs(out)
-	return out
+	slices.Sort(dst)
+	return dst
 }
 
 // querySubpath implements the subpath pre-filtering strategy over frozen
 // components: evaluate e[start..end] in the coarse component I_(end-start),
 // descend the matches to the finest component needed by e, verify the full
 // prefix backwards there, then expand the suffix forwards.
-func (fm *FrozenMStar) querySubpath(e *pathexpr.Expr, start, end int, opt query.ValidateOpts) query.Result {
+func (fm *FrozenMStar) querySubpath(sc *query.Scratch, e *pathexpr.Expr, start, end int, opt query.ValidateOpts) query.Result {
 	if e.Rooted || e.HasDescendantStep() || start < 0 || end >= len(e.Steps) || start > end {
-		return fm.queryNaive(e, opt)
+		return fm.queryNaive(sc, e, opt)
 	}
 	var res query.Result
-	res.Precise = true
 
 	sub := &pathexpr.Expr{Steps: e.Steps[start : end+1]}
 	subLvl := fm.planner().clampLevel(sub.Length())
-	coarseHits := fm.traverseComponent(fm.comps[subLvl], sub, &res.Cost)
+	coarseHits := fm.traverseComponent(sc, fm.comps[subLvl], sub, &res.Cost)
 
 	lvl := fm.planner().clampLevel(e.RequiredK())
 	comp := fm.comps[lvl]
-	candidates := fm.descend(coarseHits, fm.comps[subLvl], comp)
-	res.Cost.IndexNodes += len(candidates)
+	cur := descend(sc.Spare[:0], &sc.Mark, coarseHits, fm.comps[subLvl], comp)
+	spare := coarseHits
+	res.Cost.IndexNodes += len(cur)
 
-	// Verify the full prefix e[0..end] backwards from the candidates; the
-	// memo is a flat (node, step) table shared across candidates, so
-	// overlapping ancestor cones are walked once.
+	// Verify the full prefix e[0..end] backwards from the candidates, keeping
+	// the survivors in place; the memo is a flat (node, step) table shared
+	// across candidates, so overlapping ancestor cones are walked once.
 	if end > 0 {
 		memo := newPrefixMemo(comp.NumNodes(), end+1)
-		kept := make([]index.FrozenID, 0, len(candidates))
-		for _, c := range candidates {
+		kept := cur[:0]
+		for _, c := range cur {
 			if fm.hasPrefixInto(comp, c, e.Steps[:end+1], memo, &res.Cost) {
 				kept = append(kept, c)
 			}
 		}
-		candidates = kept
+		cur = kept
 	}
 
-	frontier := candidates
-	for i := end + 1; i < len(e.Steps) && len(frontier) > 0; i++ {
-		frontier = expandStep(comp, fm.data, frontier, e.Steps[i], &res.Cost)
+	for i := end + 1; i < len(e.Steps) && len(cur) > 0; i++ {
+		spare = expandStep(spare[:0], &sc.Mark, comp, fm.data, cur, e.Steps[i], &res.Cost)
+		cur, spare = spare, cur
 	}
-	sortFrozenIDs(frontier)
-	res.FrozenTargets = frontier
-	fm.finish(&res, comp, e, opt)
+	fm.finish(sc, &res, comp, e, cur, spare, opt)
 	return res
 }
 
@@ -356,20 +357,16 @@ func (fm *FrozenMStar) hasPrefixInto(comp *index.Frozen, v index.FrozenID, steps
 }
 
 // traverseComponent evaluates a descendant-free expression over one frozen
-// component and returns the matched nodes, accumulating traversal cost.
-func (fm *FrozenMStar) traverseComponent(comp *index.Frozen, e *pathexpr.Expr, cost *query.Cost) []index.FrozenID {
-	frontier := fm.initialFrontier(comp, e.Steps[0], cost)
-	for i := 1; i < len(e.Steps) && len(frontier) > 0; i++ {
-		frontier = expandStep(comp, fm.data, frontier, e.Steps[i], cost)
+// component, accumulating traversal cost. It returns the matched nodes in
+// ascending order in sc.Cur; sc.Spare is free for the caller.
+func (fm *FrozenMStar) traverseComponent(sc *query.Scratch, comp *index.Frozen, e *pathexpr.Expr, cost *query.Cost) []index.FrozenID {
+	cur := fm.initialFrontier(sc.Cur[:0], comp, e.Steps[0], cost)
+	spare := sc.Spare[:0]
+	for i := 1; i < len(e.Steps) && len(cur) > 0; i++ {
+		spare = expandStep(spare[:0], &sc.Mark, comp, fm.data, cur, e.Steps[i], cost)
+		cur, spare = spare, cur
 	}
-	sortFrozenIDs(frontier)
-	return frontier
-}
-
-func sortFrozenIDs(ids []index.FrozenID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
+	sc.Cur, sc.Spare = cur, spare
+	slices.Sort(cur)
+	return cur
 }

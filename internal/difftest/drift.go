@@ -11,6 +11,7 @@ import (
 	"mrx/internal/graph"
 	"mrx/internal/gtest"
 	"mrx/internal/pathexpr"
+	"mrx/internal/query"
 )
 
 // DriftOptions configures one drifting-workload differential case: an
@@ -54,6 +55,9 @@ func (o *DriftOptions) defaults() {
 	}
 }
 
+// driftParallelism is the drift engine's validation worker count.
+const driftParallelism = 2
+
 // DriftReport summarizes a drift run for convergence assertions.
 type DriftReport struct {
 	// ConvergedAt[p] is the epoch (within phase p, 0-based) at which every
@@ -96,7 +100,7 @@ func RunDriftCase(tb testing.TB, o DriftOptions) DriftReport {
 
 	// Aggressive-but-damped tuning so phases convert and retire within a
 	// handful of epochs; Interval 0 keeps stepping in this goroutine.
-	en, err := engine.New(g, engine.Options{Parallelism: 2, AutoTune: &adapt.Config{
+	en, err := engine.New(g, engine.Options{Parallelism: driftParallelism, AutoTune: &adapt.Config{
 		TopK:         16,
 		HotThreshold: 3,
 		PromoteAfter: 2,
@@ -124,6 +128,13 @@ func RunDriftCase(tb testing.TB, o DriftOptions) DriftReport {
 		if !equalIDs(res.Answer, truth(e)) {
 			tb.Fatalf("seed %d: drift: %s: answer %v, reference %v",
 				o.Seed, e, res.Answer, truth(e))
+		}
+		// The count-only evaluation of the snapshot the tuner published.
+		// Engine.CountCtx would be the same call, but it would feed the
+		// tuner a second observation and change the workload under test.
+		cnt, _ := en.ServingSnapshot().QueryOpts(e, query.ValidateOpts{Workers: driftParallelism, CountOnly: true})
+		if err := sameCount(cnt, res); err != nil {
+			tb.Fatalf("seed %d: drift: %s: count path: %v", o.Seed, e, err)
 		}
 		return res.Precise
 	}

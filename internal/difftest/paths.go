@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -166,6 +167,21 @@ func BuildPaths(g *graph.Graph, fups []*pathexpr.Expr, o PathsOptions) ([]*Servi
 	return out, nil
 }
 
+// frozenView serves from the frozen view it returns at call time (paths
+// republish between queries) with sequential validation, through both the
+// materialising and the count-only evaluation.
+type frozenView func() *core.FrozenMStar
+
+func (v frozenView) Query(e *pathexpr.Expr) query.Result {
+	res, _ := v().QueryOpts(e, query.ValidateOpts{})
+	return res
+}
+
+func (v frozenView) CountCtx(_ context.Context, e *pathexpr.Expr) (query.Result, error) {
+	res, _ := v().QueryOpts(e, query.ValidateOpts{CountOnly: true})
+	return res, nil
+}
+
 // frozenPath serves every query from a frozen CSR snapshot while refinement
 // runs on the mutable twin, exercising the engine's freeze-at-publish
 // lifecycle (including cross-generation component reuse via FreezeReusing)
@@ -176,11 +192,8 @@ func frozenPath(g *graph.Graph) *ServingPath {
 	ms := core.NewMStar(g)
 	fz := ms.Freeze()
 	return &ServingPath{
-		Name: "frozen",
-		Querier: query.QuerierFunc(func(e *pathexpr.Expr) query.Result {
-			res, _ := fz.QueryOpts(e, query.ValidateOpts{})
-			return res
-		}),
+		Name:    "frozen",
+		Querier: frozenView(func() *core.FrozenMStar { return fz }),
 		Support: func(e *pathexpr.Expr) {
 			res, _ := fz.QueryOpts(e, query.ValidateOpts{})
 			next := ms.Clone()
@@ -232,11 +245,8 @@ func mmapPath(g *graph.Graph) *ServingPath {
 	}
 	republish()
 	return &ServingPath{
-		Name: "engine/mmap",
-		Querier: query.QuerierFunc(func(e *pathexpr.Expr) query.Result {
-			res, _ := mapped.QueryOpts(e, query.ValidateOpts{})
-			return res
-		}),
+		Name:    "engine/mmap",
+		Querier: frozenView(func() *core.FrozenMStar { return mapped }),
 		Support: func(e *pathexpr.Expr) {
 			if tripErr != nil {
 				return // keep the first failure for Check, don't serve past it

@@ -157,6 +157,7 @@ type Engine struct {
 // The engine is the canonical ContextQuerier: the serving layer consumes
 // nothing else of it on the query path.
 var _ query.ContextQuerier = (*Engine)(nil)
+var _ query.CountQuerier = (*Engine)(nil)
 
 // New creates an engine serving queries over g through an adaptive
 // M*(k)-index initialized at component I0. It fails with a wrapped error
@@ -243,13 +244,27 @@ func (en *Engine) Query(e *pathexpr.Expr) query.Result {
 // QueryCtx makes Engine a query.ContextQuerier, the interface the network
 // serving layer consumes.
 func (en *Engine) QueryCtx(ctx context.Context, e *pathexpr.Expr) (query.Result, error) {
+	return en.queryCtx(ctx, e, false)
+}
+
+// CountCtx is QueryCtx without the answer: it returns Result.Count, Cost and
+// Precise exactly as QueryCtx would, but never copies an id (a precise
+// answer is the sum of its extents' lengths). It makes Engine a
+// query.CountQuerier, which the network serving layer uses for every
+// request that did not ask for the ids.
+func (en *Engine) CountCtx(ctx context.Context, e *pathexpr.Expr) (query.Result, error) {
+	return en.queryCtx(ctx, e, true)
+}
+
+func (en *Engine) queryCtx(ctx context.Context, e *pathexpr.Expr, countOnly bool) (query.Result, error) {
 	if err := ctx.Err(); err != nil {
 		en.stats.canceled.Add(1)
 		return query.Result{}, err
 	}
 	res, _ := en.query(e, query.ValidateOpts{
-		Workers: en.workers,
-		Stop:    func() bool { return ctx.Err() != nil },
+		Workers:   en.workers,
+		Stop:      func() bool { return ctx.Err() != nil },
+		CountOnly: countOnly,
 	})
 	if err := ctx.Err(); err != nil {
 		en.stats.canceled.Add(1)

@@ -100,6 +100,7 @@ type Sharded struct {
 // The sharded engine serves through the same interface as the monolithic
 // one; the network layer cannot tell them apart.
 var _ query.ContextQuerier = (*Sharded)(nil)
+var _ query.CountQuerier = (*Sharded)(nil)
 var _ adapt.Target = (*Sharded)(nil)
 
 // NewSharded partitions g along weak component boundaries (see
@@ -224,13 +225,25 @@ func (en *Sharded) Query(e *pathexpr.Expr) query.Result {
 // query.ContextQuerier: validation on every shard polls ctx and aborts once
 // it is done, returning ctx's error.
 func (en *Sharded) QueryCtx(ctx context.Context, e *pathexpr.Expr) (query.Result, error) {
+	return en.queryCtx(ctx, e, false)
+}
+
+// CountCtx is QueryCtx without the answer (see Engine.CountCtx), making
+// Sharded a query.CountQuerier: the per-shard counts are summed, and no
+// shard answer is mapped to global ids or merged.
+func (en *Sharded) CountCtx(ctx context.Context, e *pathexpr.Expr) (query.Result, error) {
+	return en.queryCtx(ctx, e, true)
+}
+
+func (en *Sharded) queryCtx(ctx context.Context, e *pathexpr.Expr, countOnly bool) (query.Result, error) {
 	if err := ctx.Err(); err != nil {
 		en.stats.canceled.Add(1)
 		return query.Result{}, err
 	}
 	res := en.query(e, query.ValidateOpts{
-		Workers: en.workers,
-		Stop:    func() bool { return ctx.Err() != nil },
+		Workers:   en.workers,
+		Stop:      func() bool { return ctx.Err() != nil },
+		CountOnly: countOnly,
 	})
 	if err := ctx.Err(); err != nil {
 		en.stats.canceled.Add(1)
@@ -279,7 +292,11 @@ func (en *Sharded) query(e *pathexpr.Expr, opt query.ValidateOpts) query.Result 
 		// Every shard runs the same configured strategy; label the merged
 		// result with the first shard's resolved pick.
 		strategy = picks[0]
-		res = mergeResults(parts)
+		if opt.CountOnly {
+			res = sumResults(parts)
+		} else {
+			res = mergeResults(parts)
+		}
 	}
 	elapsed := time.Since(start)
 	en.stats.recordQuery(strategy, res.Cost.IndexNodes, res.Cost.DataNodes, res.Precise, elapsed)
@@ -307,14 +324,16 @@ func (en *Sharded) queryShard(i int, e *pathexpr.Expr, opt query.ValidateOpts) (
 	st := en.shards[i]
 	en.perShardQueries[i].Add(1)
 	res, strategy := st.Snapshot().Serving().QueryOpts(e, opt)
-	toGlobalAnswer(&res, st.Shard())
+	if !opt.CountOnly {
+		toGlobalAnswer(&res, st.Shard())
+	}
 	return res, strategy
 }
 
 // toGlobalAnswer maps a shard-local answer to global node IDs in place.
 // The mapping is monotone ascending, so the answer stays sorted; the
-// shard-local index-node views (Targets/FrozenTargets) are dropped — they
-// are meaningless outside their shard.
+// shard-local index-node view (Targets) is dropped — it is meaningless
+// outside its shard.
 //
 //mrx:hotpath sharded scatter-gather merge path
 func toGlobalAnswer(res *query.Result, sh *shard.Shard) {
@@ -322,24 +341,32 @@ func toGlobalAnswer(res *query.Result, sh *shard.Shard) {
 		res.Answer[i] = sh.ToGlobal(v)
 	}
 	res.Targets = nil
-	res.FrozenTargets = nil
 }
 
-// mergeResults gathers per-shard results into one global Result: a k-way
-// merge of the (disjoint, globally sorted) shard answers, summed costs,
-// and precision only when every shard was precise.
+// sumResults gathers per-shard results into one global Result's count,
+// costs and precision (precise only when every shard was): everything but
+// the answer itself, which is all a count-only query needs.
+func sumResults(parts []query.Result) query.Result {
+	out := query.Result{Precise: true}
+	for i := range parts {
+		out.Count += parts[i].Count
+		out.Cost.Add(parts[i].Cost)
+		out.Precise = out.Precise && parts[i].Precise
+	}
+	return out
+}
+
+// mergeResults is sumResults plus a k-way merge of the (disjoint, globally
+// sorted) shard answers.
 //
 //mrx:hotpath sharded scatter-gather merge path
 func mergeResults(parts []query.Result) query.Result {
-	out := query.Result{Precise: true}
+	out := sumResults(parts)
 	total := 0
 	for i := range parts {
 		total += len(parts[i].Answer)
-		out.Cost.Add(parts[i].Cost)
-		if !parts[i].Precise {
-			out.Precise = false
-		}
 	}
+	out.Count = total
 	merged := make([]graph.NodeID, 0, total)
 	heads := make([]int, len(parts))
 	for len(merged) < total {

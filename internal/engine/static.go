@@ -33,6 +33,7 @@ type Static struct {
 // Static serves through the same interface as the adaptive engines; the
 // network layer cannot tell them apart.
 var _ query.ContextQuerier = (*Static)(nil)
+var _ query.CountQuerier = (*Static)(nil)
 
 // NewStatic builds a read-only engine over the frozen view fm, bound to
 // fm's data graph. parallelism bounds the validation worker pool per query;
@@ -78,13 +79,24 @@ func (sq *Static) Query(e *pathexpr.Expr) query.Result {
 // query.ContextQuerier: validation polls ctx and aborts once it is done,
 // returning ctx's error.
 func (sq *Static) QueryCtx(ctx context.Context, e *pathexpr.Expr) (query.Result, error) {
+	return sq.queryCtx(ctx, e, false)
+}
+
+// CountCtx is QueryCtx without the answer (see Engine.CountCtx), making
+// Static a query.CountQuerier.
+func (sq *Static) CountCtx(ctx context.Context, e *pathexpr.Expr) (query.Result, error) {
+	return sq.queryCtx(ctx, e, true)
+}
+
+func (sq *Static) queryCtx(ctx context.Context, e *pathexpr.Expr, countOnly bool) (query.Result, error) {
 	if err := ctx.Err(); err != nil {
 		sq.stats.canceled.Add(1)
 		return query.Result{}, err
 	}
 	res := sq.query(e, query.ValidateOpts{
-		Workers: sq.workers,
-		Stop:    func() bool { return ctx.Err() != nil },
+		Workers:   sq.workers,
+		Stop:      func() bool { return ctx.Err() != nil },
+		CountOnly: countOnly,
 	})
 	if err := ctx.Err(); err != nil {
 		sq.stats.canceled.Add(1)

@@ -13,7 +13,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a data node. IDs are dense: 0..NumNodes()-1.
@@ -176,7 +176,7 @@ func dedupe(s []NodeID) []NodeID {
 	if len(s) < 2 {
 		return s
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	w := 1
 	for i := 1; i < len(s); i++ {
 		if s[i] != s[i-1] {

@@ -137,7 +137,7 @@ func forestBuilder(rng *rand.Rand, labelOf func() int, o Options) *graph.Builder
 		c = o.Nodes
 	}
 	b := graph.NewBuilder()
-	comp := make([]int, o.Nodes)     // node -> component
+	comp := make([]int, o.Nodes)         // node -> component
 	members := make([][]graph.NodeID, c) // component -> nodes, in creation order
 	for v := 0; v < o.Nodes; v++ {
 		var ci int

@@ -2,7 +2,7 @@ package index
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mrx/internal/graph"
 )
@@ -59,7 +59,7 @@ func checkExtent(data *graph.Graph, bi int, extent []graph.NodeID, k int) ([]gra
 		return nil, fmt.Errorf("index: extent %d has negative k", bi)
 	}
 	extent = append([]graph.NodeID(nil), extent...)
-	sort.Slice(extent, func(a, b int) bool { return extent[a] < extent[b] })
+	slices.Sort(extent)
 	// Range-check before the first Label call: extents read from untrusted
 	// (possibly corrupted) files reach here unvalidated.
 	for _, o := range extent {

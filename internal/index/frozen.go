@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"mrx/internal/graph"
 )
@@ -110,7 +109,7 @@ func appendSortedIDs(dst []FrozenID, set map[NodeID]struct{}, liveOf []FrozenID)
 		dst = append(dst, liveOf[id])
 	}
 	s := dst[at:]
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	return dst
 }
 

@@ -17,7 +17,7 @@ package index
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mrx/internal/graph"
 	"mrx/internal/partition"
@@ -153,7 +153,7 @@ func (ig *Graph) NodesWithLabel(l graph.LabelID) []*Node {
 	for id := range bucket {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := make([]*Node, len(ids))
 	for i, id := range ids {
 		out[i] = ig.nodes[id]
@@ -181,7 +181,7 @@ func (ig *Graph) resolve(set map[NodeID]struct{}) []*Node {
 	for id := range set {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := make([]*Node, len(ids))
 	for i, id := range ids {
 		out[i] = ig.nodes[id]
@@ -289,7 +289,7 @@ func (ig *Graph) Split(w *Node, pieces [][]graph.NodeID, ks []int) []*Node {
 	// adjacency reconstruction sees the final mapping.
 	newNodes := make([]*Node, len(pieces))
 	for i, extent := range pieces {
-		sort.Slice(extent, func(a, b int) bool { return extent[a] < extent[b] })
+		slices.Sort(extent)
 		for _, o := range extent {
 			if ig.nodeOf[o] != w.id {
 				//mrlint:allow nopanic extent-membership invariant P1; a wrong piece corrupts nodeOf

@@ -2,7 +2,7 @@ package partition
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"mrx/internal/graph"
 )
@@ -26,7 +26,7 @@ func RefineOnceDown(g *graph.Graph, p *Partition) (*Partition, bool) {
 		for _, c := range g.Children(graph.NodeID(v)) {
 			childBlocks = append(childBlocks, p.blockOf[c])
 		}
-		sort.Slice(childBlocks, func(i, j int) bool { return childBlocks[i] < childBlocks[j] })
+		slices.Sort(childBlocks)
 		prev := BlockID(-1)
 		for _, b := range childBlocks {
 			if b != prev {

@@ -22,7 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"mrx/internal/graph"
@@ -117,7 +117,7 @@ func RefineOnce(g *graph.Graph, p *Partition, frozen func(BlockID) bool) (*Parti
 				for _, u := range g.Parents(graph.NodeID(v)) {
 					parentBlocks = append(parentBlocks, p.blockOf[u])
 				}
-				sort.Slice(parentBlocks, func(i, j int) bool { return parentBlocks[i] < parentBlocks[j] })
+				slices.Sort(parentBlocks)
 				prev := BlockID(-1)
 				for _, b := range parentBlocks {
 					if b != prev {

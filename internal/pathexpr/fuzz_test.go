@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzParse checks that parsing never panics and that every accepted
-// expression round-trips: String() renders a canonical form that re-parses
-// to a structurally equal expression with consistent derived properties.
+// FuzzParse checks that parsing never panics, that it accepts and rejects
+// exactly what the split-based reference parser does (same expression, same
+// error), and that every accepted expression round-trips: String() renders
+// a canonical form that re-parses to a structurally equal expression with
+// consistent derived properties.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		"//a/b", "/a/b/c", "a/b", "//a/*/c", "/*", "//*", "a//b",
@@ -19,6 +21,15 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		e, err := Parse(s)
+		ref, refErr := parseSplit(s)
+		switch {
+		case (err == nil) != (refErr == nil):
+			t.Fatalf("Parse(%q) error %v, reference %v", s, err, refErr)
+		case err != nil && err.Error() != refErr.Error():
+			t.Fatalf("Parse(%q) error %q, reference %q", s, err, refErr)
+		case err == nil && (!e.Equal(ref) || len(e.Steps) != len(ref.Steps)):
+			t.Fatalf("Parse(%q) = %v, reference %v", s, e, ref)
+		}
 		if err != nil {
 			if e != nil {
 				t.Fatalf("Parse(%q) returned both an expression and error %v", s, err)

@@ -137,13 +137,17 @@ func Parse(s string) (*Expr, error) {
 	if s == "" {
 		return nil, fmt.Errorf("pathexpr: no steps in %q", orig)
 	}
-	parts := strings.Split(s, "/")
+	// Every step is one slash-separated segment, so the slash count bounds
+	// the step count and Steps is allocated once.
+	e.Steps = make([]Step, 0, strings.Count(s, "/")+1)
 	descendant := false
-	for _, part := range parts {
+	for more := true; more; {
+		var part string
+		part, s, more = strings.Cut(s, "/")
 		if part == "" {
 			// An empty segment between two labels encodes the descendant
-			// axis: a//b splits into ["a", "", "b"]. The first step cannot
-			// be preceded by one (that slash belonged to the prefix).
+			// axis: a//b splits into "a", "", "b". The first step cannot be
+			// preceded by one (that slash belonged to the prefix).
 			if len(e.Steps) == 0 || descendant {
 				return nil, fmt.Errorf("pathexpr: empty step in %q", orig)
 			}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"testing"
 
 	"mrx/internal/graph"
@@ -40,11 +41,20 @@ func TestEvalFrozenMatchesEvalIndex(t *testing.T) {
 					t.Fatalf("seed %d k=%d %q: index cost %d vs %d",
 						seed, k, w, got.Cost.IndexNodes, want.Cost.IndexNodes)
 				}
-				if len(got.FrozenTargets) != len(want.Targets) {
-					t.Fatalf("seed %d k=%d %q: %d frozen targets vs %d mutable",
-						seed, k, w, len(got.FrozenTargets), len(want.Targets))
+				if got.Count != len(got.Answer) {
+					t.Fatalf("seed %d k=%d %q: Count %d, %d answers", seed, k, w, got.Count, len(got.Answer))
 				}
-				for i, v := range got.FrozenTargets {
+				var cost Cost
+				targets := TraverseFrozen(fz, e, &cost)
+				if cost.IndexNodes != got.Cost.IndexNodes {
+					t.Fatalf("seed %d k=%d %q: TraverseFrozen index cost %d, EvalFrozen %d",
+						seed, k, w, cost.IndexNodes, got.Cost.IndexNodes)
+				}
+				if len(targets) != len(want.Targets) {
+					t.Fatalf("seed %d k=%d %q: %d frozen targets vs %d mutable",
+						seed, k, w, len(targets), len(want.Targets))
+				}
+				for i, v := range targets {
 					if fz.Retired(v) != want.Targets[i].ID() {
 						t.Fatalf("seed %d k=%d %q: target %d diverges", seed, k, w, i)
 					}
@@ -73,8 +83,8 @@ func TestFrozenQuerier(t *testing.T) {
 }
 
 func TestMark(t *testing.T) {
-	m := NewMark(4)
-	m.Next()
+	var m Mark
+	m.Reset(4)
 	if m.Seen(2) {
 		t.Error("fresh round reports seen")
 	}
@@ -85,6 +95,64 @@ func TestMark(t *testing.T) {
 	m.Next()
 	if m.Seen(2) {
 		t.Error("Next did not invalidate previous round")
+	}
+}
+
+// A pooled Mark is reused across components of different sizes: growing it
+// and shrinking it again must never expose a stamp of an earlier round.
+func TestMarkResetAcrossSizes(t *testing.T) {
+	var m Mark
+	m.Reset(2)
+	m.Set(1)
+	m.Reset(8) // grows: a fresh array
+	for v := index.FrozenID(0); v < 8; v++ {
+		if m.Seen(v) {
+			t.Fatalf("grown mark reports %d seen", v)
+		}
+	}
+	m.Set(6)
+	m.Reset(3) // shrinks within capacity: stamp 6 stays in the array
+	m.Set(0)
+	m.Reset(8) // and is exposed again, from an older round
+	if m.Seen(6) || m.Seen(0) {
+		t.Fatal("a stamp from an earlier round reads as seen after Reset")
+	}
+}
+
+// The round counter is an int32. Before it wraps, Next clears every stamp,
+// so a stamp written in an earlier cycle of rounds — here one written at
+// round 1, which is the round the counter restarts from — never reads as
+// Seen, including in the part of the array beyond the current size.
+func TestMarkRoundWrap(t *testing.T) {
+	var m Mark
+	m.Reset(8)
+	m.stamp[2] = 1 // stale: written at round 1, a whole cycle ago
+	m.Reset(4)     // shrink: index 5 lies beyond the current size
+	m.stamp[:8][5] = 1
+	m.round = math.MaxInt32 - 1
+	m.Set(0)
+	m.Next() // MaxInt32
+	m.Set(1)
+	if !m.Seen(1) || m.Seen(0) {
+		t.Fatal("Set/Seen wrong in the last round before the wrap")
+	}
+	m.Next() // wraps: round 1 again
+	if m.round != 1 {
+		t.Fatalf("round after wrap = %d, want 1", m.round)
+	}
+	for v := index.FrozenID(0); v < 4; v++ {
+		if m.Seen(v) {
+			t.Fatalf("stamp %d reads as seen after the wrap", v)
+		}
+	}
+	for v, st := range m.stamp[:cap(m.stamp)] {
+		if st != 0 {
+			t.Fatalf("stamp %d = %d survived the wrap", v, st)
+		}
+	}
+	m.Set(3)
+	if !m.Seen(3) {
+		t.Fatal("Set after the wrap not seen")
 	}
 }
 

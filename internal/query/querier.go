@@ -28,6 +28,15 @@ type ContextQuerier interface {
 	QueryCtx(ctx context.Context, e *pathexpr.Expr) (Result, error)
 }
 
+// CountQuerier is implemented by queriers that can answer how many data
+// nodes match without materialising them: CountCtx is QueryCtx with
+// ValidateOpts.CountOnly, returning Result.Count, the same Cost and Precise,
+// and a nil Answer. The serving layer uses it for every request that did
+// not ask for the ids.
+type CountQuerier interface {
+	CountCtx(ctx context.Context, e *pathexpr.Expr) (Result, error)
+}
+
 // AsContextQuerier adapts q to the ContextQuerier interface. If q already
 // implements it (the engine does), it is returned unchanged; otherwise the
 // adapter checks ctx before and after the (uninterruptible) Query call, so

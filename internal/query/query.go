@@ -8,6 +8,7 @@
 package query
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -129,7 +130,7 @@ func (d *DataIndex) Eval(e *pathexpr.Expr) []graph.NodeID {
 			break
 		}
 	}
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+	slices.Sort(frontier)
 	return frontier
 }
 
@@ -137,7 +138,7 @@ func dedupeIDs(s []graph.NodeID) []graph.NodeID {
 	if len(s) < 2 {
 		return s
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	w := 1
 	for i := 1; i < len(s); i++ {
 		if s[i] != s[i-1] {
@@ -251,15 +252,16 @@ func (va *Validator) match(v graph.NodeID, step int) bool {
 // Result is the outcome of evaluating an expression on an index graph.
 type Result struct {
 	// Targets are the index nodes matched by the expression, in ID order.
-	// Nil when the query was served from a frozen snapshot (see
-	// FrozenTargets).
+	// Nil when the query was served from a frozen snapshot (TraverseFrozen
+	// returns the frozen targets).
 	Targets []*index.Node
-	// FrozenTargets are the frozen nodes matched by the expression, in
-	// ascending order; set instead of Targets when the query was evaluated
-	// over an index.Frozen.
-	FrozenTargets []index.FrozenID
-	// Answer is the validated data-node answer, sorted.
+	// Answer is the validated data-node answer, sorted. Nil when the query
+	// was evaluated with ValidateOpts.CountOnly.
 	Answer []graph.NodeID
+	// Count is the answer's cardinality. The frozen read path sets it in
+	// both modes, from the extents alone under CountOnly; elsewhere it may
+	// be zero, and len(Answer) is the count.
+	Count int
 	// Cost is the query cost under the paper's metric.
 	Cost Cost
 	// Precise is true when every matched index node had sufficient local

@@ -24,6 +24,11 @@ type ValidateOpts struct {
 	// Workers > 1 it is called from every worker goroutine concurrently, so
 	// it must be safe for concurrent use.
 	Stop func() bool
+	// CountOnly asks the frozen read path for the answer's cardinality
+	// (Result.Count) without materialising it: precise extents are summed,
+	// not copied, and Result.Answer stays nil. Costs and precision are the
+	// same as in the materialising mode.
+	CountOnly bool
 }
 
 // parallelThreshold is the minimum number of candidate data nodes before

@@ -206,7 +206,7 @@ func TestChaosCoalescerCancelsOnlyAfterLastWaiterDetaches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	key := pathexpr.Canonical(mustParse(t, "//a/b"))
+	key := flightKey{canonical: pathexpr.Canonical(mustParse(t, "//a/b"))}
 	waitersFor(t, s.co, key, n)
 	if got := q.calls.Load(); got != 1 {
 		t.Fatalf("backend called %d times for one coalesced key, want 1", got)
@@ -350,8 +350,10 @@ func TestChaosSlowLorisCutOffByReadHeaderTimeout(t *testing.T) {
 // slot was released before the write ever started, so the stalled client
 // pinned no serving capacity.
 func TestChaosTrickleReaderCannotPinConnection(t *testing.T) {
-	// A ~3MB answer, so the response cannot hide in socket buffers.
-	answer := make([]graph.NodeID, 1<<19)
+	// A ~450KB answer, so the response cannot hide in the shrunken socket
+	// buffers, yet small enough that encoding it under the race detector
+	// still starts writing well inside WriteTimeout.
+	answer := make([]graph.NodeID, 1<<16)
 	for i := range answer {
 		answer[i] = graph.NodeID(i)
 	}

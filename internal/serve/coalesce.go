@@ -16,8 +16,17 @@ type flight struct {
 	cancel  context.CancelFunc // cancels the evaluation's context
 }
 
-// coalescer collapses concurrent evaluations of the same canonical path
-// expression into one: the first caller for a key starts the evaluation
+// flightKey identifies what a flight computes: the canonical expression,
+// and whether it runs the count-only evaluation. A count-only result has no
+// ids, so it must never answer a waiter that asked for them; keying by both
+// keeps the two apart at no extra allocation.
+type flightKey struct {
+	canonical string
+	countOnly bool
+}
+
+// coalescer collapses concurrent evaluations of the same flight key into
+// one: the first caller for a key starts the evaluation
 // (the "leader"), later callers for the same key join the existing flight,
 // and the single result fans out to every waiter. This is single-flight
 // with one refinement for a serving layer: the evaluation runs under its
@@ -26,11 +35,11 @@ type flight struct {
 // query nobody is waiting for anymore stops validating mid-flight.
 type coalescer struct {
 	mu      sync.Mutex
-	flights map[string]*flight
+	flights map[flightKey]*flight
 }
 
 func newCoalescer() *coalescer {
-	return &coalescer{flights: make(map[string]*flight)}
+	return &coalescer{flights: make(map[flightKey]*flight)}
 }
 
 // do returns exec's result for key, coalescing concurrent callers: at most
@@ -40,7 +49,7 @@ func newCoalescer() *coalescer {
 // last waiter to detach cancels the exec context.
 //
 //mrx:hotpath coalescer fast path: every served request passes through here
-func (c *coalescer) do(ctx context.Context, key string, exec func(context.Context) (query.Result, error)) (res query.Result, shared bool, err error) {
+func (c *coalescer) do(ctx context.Context, key flightKey, exec func(context.Context) (query.Result, error)) (res query.Result, shared bool, err error) {
 	c.mu.Lock()
 	f, ok := c.flights[key]
 	if ok {

@@ -55,7 +55,7 @@ func mustServer(t *testing.T, q query.ContextQuerier, cfg Config) *Server {
 
 // waitersFor polls until the coalescer has n waiters registered for key
 // (or the deadline passes), making the concurrent tests deterministic.
-func waitersFor(t *testing.T, c *coalescer, key string, n int) {
+func waitersFor(t *testing.T, c *coalescer, key flightKey, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -71,7 +71,7 @@ func waitersFor(t *testing.T, c *coalescer, key string, n int) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("never saw %d waiters for %q", n, key)
+	t.Fatalf("never saw %d waiters for %+v", n, key)
 }
 
 // N concurrent requests for the same canonical expression must collapse
@@ -95,10 +95,10 @@ func TestCoalescerCollapsesIdenticalQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], shareds[i], errs[i] = co.do(context.Background(), "k", exec)
+			results[i], shareds[i], errs[i] = co.do(context.Background(), flightKey{canonical: "k"}, exec)
 		}(i)
 	}
-	waitersFor(t, co, "k", n)
+	waitersFor(t, co, flightKey{canonical: "k"}, n)
 	close(release)
 	wg.Wait()
 
@@ -121,7 +121,7 @@ func TestCoalescerCollapsesIdenticalQueries(t *testing.T) {
 		t.Fatalf("shared for %d waiters, want %d (all but the leader)", nshared, n-1)
 	}
 	// The finished flight must be unpublished: a later call starts fresh.
-	if _, ok := co.flights["k"]; ok {
+	if _, ok := co.flights[flightKey{canonical: "k"}]; ok {
 		t.Fatal("finished flight still published")
 	}
 }
@@ -139,7 +139,7 @@ func TestCoalescerKeepsDistinctQueriesApart(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, shared, err := co.do(context.Background(), fmt.Sprintf("k%d", i), exec); err != nil || shared {
+			if _, shared, err := co.do(context.Background(), flightKey{canonical: fmt.Sprintf("k%d", i)}, exec); err != nil || shared {
 				t.Errorf("key k%d: shared=%v err=%v", i, shared, err)
 			}
 		}(i)
@@ -167,9 +167,9 @@ func TestCoalescerCancelsWhenAllWaitersLeave(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(2)
-	go func() { defer wg.Done(); _, _, errs[0] = co.do(ctx1, "k", exec) }()
-	go func() { defer wg.Done(); _, _, errs[1] = co.do(ctx2, "k", exec) }()
-	waitersFor(t, co, "k", 2)
+	go func() { defer wg.Done(); _, _, errs[0] = co.do(ctx1, flightKey{canonical: "k"}, exec) }()
+	go func() { defer wg.Done(); _, _, errs[1] = co.do(ctx2, flightKey{canonical: "k"}, exec) }()
+	waitersFor(t, co, flightKey{canonical: "k"}, 2)
 
 	cancel1() // one waiter leaves; the other still wants the result
 	select {
@@ -381,7 +381,7 @@ func TestServerCoalescesOverHTTP(t *testing.T) {
 	}
 	<-st.started
 	// //a/b and /descendant::a/b spellings share one canonical key.
-	waitersFor(t, s.co, pathexpr.Canonical(mustParse(t, "//a/b")), n)
+	waitersFor(t, s.co, flightKey{canonical: pathexpr.Canonical(mustParse(t, "//a/b"))}, n)
 	close(st.release)
 	for i := 0; i < n; i++ {
 		if code := <-out; code != http.StatusOK {

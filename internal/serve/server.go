@@ -27,12 +27,15 @@ type Server struct {
 	// this package importing the engine.
 	ExtraStats func() any
 
-	q     query.ContextQuerier
-	cfg   Config
-	adm   *admission
-	co    *coalescer
-	ctr   counters
-	start time.Time
+	q query.ContextQuerier
+	// counter is q as a query.CountQuerier, or nil when q cannot count
+	// without materialising; asserted once, in New.
+	counter query.CountQuerier
+	cfg     Config
+	adm     *admission
+	co      *coalescer
+	ctr     counters
+	start   time.Time
 }
 
 // New validates cfg and constructs a Server over q.
@@ -44,18 +47,21 @@ func New(q query.ContextQuerier, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	counter, _ := q.(query.CountQuerier)
 	return &Server{
-		q:     q,
-		cfg:   cfg,
-		adm:   newAdmission(cfg),
-		co:    newCoalescer(),
-		start: time.Now(),
+		q:       q,
+		counter: counter,
+		cfg:     cfg,
+		adm:     newAdmission(cfg),
+		co:      newCoalescer(),
+		start:   time.Now(),
 	}, nil
 }
 
 // Handler returns the server's routing table:
 //
-//	GET /query?q=//a/b[&answers=1]  evaluate one path expression
+//	GET /query?q=//a/b[&answers=1]  evaluate one path expression: the answer
+//	                                count and costs, plus the ids with answers=1
 //	GET /stats                      serving counters, latency window, backend stats
 //	GET /healthz                    liveness probe
 func (s *Server) Handler() http.Handler {
@@ -104,7 +110,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
 		return
 	}
-	raw := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	raw := params.Get("q")
 	if raw == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing q parameter"})
 		return
@@ -116,7 +123,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ctr.Received.Add(1)
 
-	key := pathexpr.Canonical(e)
+	// Without answers=1 only the count is sent, so a backend that can count
+	// without materialising the ids is asked to.
+	wantIDs := params.Get("answers") == "1"
+	countOnly := s.counter != nil && !wantIDs
+	key := flightKey{canonical: pathexpr.Canonical(e), countOnly: countOnly}
 	start := time.Now()
 	res, shared, err := s.co.do(r.Context(), key, func(execCtx context.Context) (query.Result, error) {
 		// Admission runs inside the flight: coalesced followers never
@@ -127,7 +138,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer s.adm.release()
 		s.ctr.Flights.Add(1)
 		t0 := time.Now()
-		r, err := s.q.QueryCtx(execCtx, e)
+		var r query.Result
+		var err error
+		if countOnly {
+			r, err = s.counter.CountCtx(execCtx, e)
+		} else {
+			r, err = s.q.QueryCtx(execCtx, e)
+		}
 		if err == nil {
 			s.adm.observe(time.Since(t0))
 		}
@@ -139,17 +156,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if shared {
 			s.ctr.Coalesced.Add(1)
 		}
+		answers := len(res.Answer)
+		if countOnly {
+			answers = res.Count
+		}
 		resp := QueryResponse{
 			Query:     raw,
-			Canonical: key,
-			Answers:   len(res.Answer),
+			Canonical: key.canonical,
+			Answers:   answers,
 			IndexCost: res.Cost.IndexNodes,
 			DataCost:  res.Cost.DataNodes,
 			Precise:   res.Precise,
 			Coalesced: shared,
 			Micros:    time.Since(start).Microseconds(),
 		}
-		if r.URL.Query().Get("answers") == "1" {
+		if wantIDs {
 			resp.Answer = res.Answer
 		}
 		writeJSON(w, http.StatusOK, resp)

@@ -178,13 +178,13 @@ func TestCovers(t *testing.T) {
 		expr        string
 		root, other bool
 	}{
-		{"/a/b", true, false},  // rooted: root shard only
-		{"a/b", true, false},   // other shard lacks both labels
-		{"x/y", false, true},   // root shard lacks x
-		{"*/y", false, true},   // wildcard step constrains nothing
-		{"a/y", false, false},  // labels split across shards: nobody covers
-		{"zz", false, false},   // unknown label: nobody covers
-		{"*", true, true},      // pure wildcard: everybody
+		{"/a/b", true, false}, // rooted: root shard only
+		{"a/b", true, false},  // other shard lacks both labels
+		{"x/y", false, true},  // root shard lacks x
+		{"*/y", false, true},  // wildcard step constrains nothing
+		{"a/y", false, false}, // labels split across shards: nobody covers
+		{"zz", false, false},  // unknown label: nobody covers
+		{"*", true, true},     // pure wildcard: everybody
 	}
 	for _, c := range cases {
 		e := mustParse(t, c.expr)
