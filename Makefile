@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint lint-stats test race check bench bench-smoke drift-smoke serve-smoke chaos-smoke chaos-bench mmap-smoke fuzz cover
+.PHONY: all build fmt vet lint lint-stats test race check bench bench-smoke bench-test drift-smoke serve-smoke chaos-smoke chaos-bench mmap-smoke fuzz cover
 
 all: check
 
@@ -56,6 +56,12 @@ bench:
 # b.Fatal), without paying for measurement.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# bench-test vets and tests the end-to-end benchmark (bench/, its own
+# module). It builds against the engine, shard and mmapstore APIs, which
+# the root module's tests never compile it against.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # drift-smoke replays the canned drifting workload through the adaptive
 # tuner and asserts bounded-epoch convergence in every phase, with every

@@ -16,8 +16,10 @@ import (
 // clones the mutable twin, refines the private copy, re-freezes only the
 // components the refinement touched, and publishes both atomically;
 // concurrent Support calls serialize. Validation inside a query fans out
-// across a bounded worker pool. See package mrx/internal/engine for the
-// full concurrency model.
+// across a bounded worker pool. An Engine is a ShardedEngine with one shard
+// that owns the whole graph, so it shares that engine's methods, counters
+// (EngineStats.Shards has one entry) and snapshot lifecycle. See package
+// mrx/internal/engine for the full concurrency model.
 type Engine = engine.Engine
 
 // EngineOptions configures an Engine: the adaptive index's options and the

@@ -21,8 +21,8 @@ func DefaultAnalyzers() []*Analyzer {
 			// Freeze/FreezeReusing); the engine publishes them as immutable
 			// snapshots.
 			"mrx/internal/core": nil,
-			// engine.Engine's snapshot pointer, counters and registries are
-			// written only by package engine itself.
+			// The engines' counters and shard tables are written only by
+			// package engine itself.
 			"mrx/internal/engine": nil,
 		}),
 		ErrWrap(ErrWrapConfig{

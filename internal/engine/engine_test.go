@@ -3,14 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mrx/internal/adapt"
-	"mrx/internal/baseline"
 	"mrx/internal/core"
 	"mrx/internal/datagen"
 	"mrx/internal/gtest"
@@ -230,28 +228,6 @@ func TestMaxKCapsComponents(t *testing.T) {
 	en.Support(e)
 	if n := en.Snapshot().NumComponents(); n > 3 {
 		t.Fatalf("components = %d, want <= 3 under MaxK=2", n)
-	}
-}
-
-func TestRegisterAndQueryNamed(t *testing.T) {
-	g := datagen.XMarkGraph(0.005, 5)
-	en := mustNew(t, g, Options{})
-	e := mustParse("//open_auction/bidder")
-
-	en.Register("a2", query.AsQuerier(baseline.AK(g, 2)))
-	res, err := en.QueryNamed("a2", e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Answer, en.Eval(e)) {
-		t.Fatal("static index answer mismatch")
-	}
-	if _, err := en.QueryNamed("missing", e); err == nil {
-		t.Fatal("unknown name should error")
-	}
-	en.Register("a2", nil)
-	if _, err := en.QueryNamed("a2", e); err == nil {
-		t.Fatal("unregistered name should error")
 	}
 }
 

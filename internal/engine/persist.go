@@ -1,14 +1,5 @@
 package engine
 
-import (
-	"fmt"
-	"path/filepath"
-
-	"mrx/internal/core"
-	"mrx/internal/graph"
-	"mrx/internal/mmapstore"
-)
-
 // PersistOptions makes an engine disk-resident: every published generation
 // is atomically republished (write-temp + fsync + rename) as an mmapstore
 // snapshot under Dir, and the engine serves queries from the trusted
@@ -28,43 +19,6 @@ type PersistOptions struct {
 	Compact bool
 }
 
-// persistFile is the monolithic engine's snapshot file name under
-// PersistOptions.Dir.
+// persistFile is the monolithic Engine's snapshot file name under
+// PersistOptions.Dir (its one shard's, in place of shard-000.mrx).
 const persistFile = "mstar.mrx"
-
-// persister republishes frozen snapshots to one on-disk path and remaps
-// them for serving. The write side serializes under the engine's writer
-// lock, so persister itself needs no locking.
-type persister struct {
-	path string
-	wo   mmapstore.WriteOptions
-	g    *graph.Graph
-	mo   core.MStarOptions
-}
-
-func newPersister(p PersistOptions, name string, g *graph.Graph, mo core.MStarOptions) *persister {
-	return &persister{
-		path: filepath.Join(p.Dir, name),
-		wo:   mmapstore.WriteOptions{CompactExtents: p.Compact},
-		g:    g,
-		mo:   mo,
-	}
-}
-
-// republish atomically replaces the on-disk snapshot with fz and reopens
-// the new file as a trusted zero-copy mapping. Trusted is sound here: the
-// bytes were produced by this process one rename ago, and the rename is
-// atomic, so the reopened file is exactly what was written. The returned
-// view keeps its mapping alive for as long as it is reachable (the engine's
-// snapshot pointer); the superseded generation's mapping is released by its
-// cleanup once the last reader drops it.
-func (p *persister) republish(fz *core.FrozenMStar) (*core.FrozenMStar, error) {
-	if err := mmapstore.Publish(p.path, fz, p.wo); err != nil {
-		return nil, fmt.Errorf("engine: persist %s: %w", p.path, err)
-	}
-	snap, err := mmapstore.Open(p.path, p.g, mmapstore.Options{Trusted: true, MStar: p.mo})
-	if err != nil {
-		return nil, fmt.Errorf("engine: persist %s: reopen: %w", p.path, err)
-	}
-	return snap.FrozenMStar(), nil
-}

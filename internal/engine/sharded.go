@@ -108,6 +108,13 @@ var _ adapt.Target = (*Sharded)(nil)
 // across a bounded worker pool. It fails with a wrapped error when opts is
 // plainly invalid.
 func NewSharded(g *graph.Graph, opts ShardedOptions) (*Sharded, error) {
+	return newSharded(g, opts, "")
+}
+
+// newSharded is NewSharded with a persist file name for a one-shard
+// engine: a non-empty fileName replaces shard-000.mrx. New passes one, and
+// always asks for a single shard.
+func newSharded(g *graph.Graph, opts ShardedOptions, fileName string) (*Sharded, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -135,19 +142,20 @@ func NewSharded(g *graph.Graph, opts ShardedOptions) (*Sharded, error) {
 	for i, sh := range parts {
 		en.shards[i] = shard.NewState(sh, opts.MStar)
 		if opts.Persist != nil {
-			en.shards[i].EnablePersist(
-				filepath.Join(opts.Persist.Dir, fmt.Sprintf("shard-%03d.mrx", i)),
-				opts.Persist.Compact)
+			name := fileName
+			if name == "" {
+				name = fmt.Sprintf("shard-%03d.mrx", i)
+			}
+			en.shards[i].EnablePersist(filepath.Join(opts.Persist.Dir, name), opts.Persist.Compact)
 		}
 	}
 	en.freezeAll(opts.FreezeWorkers)
 	if opts.Persist != nil {
-		// The initial publishes fail hard, mirroring the monolithic engine:
-		// a disk-resident engine that cannot write its directory is
-		// misconfigured, not degraded.
+		// The initial publishes fail hard: a disk-resident engine that
+		// cannot write its directory is misconfigured, not degraded.
 		for i, st := range en.shards {
 			if err := st.PersistErr(); err != nil {
-				return nil, fmt.Errorf("engine: sharded: persist shard %d: %w", i, err)
+				return nil, fmt.Errorf("engine: persist shard %d: %w", i, err)
 			}
 		}
 	}
@@ -256,8 +264,18 @@ func (en *Sharded) queryCtx(ctx context.Context, e *pathexpr.Expr, countOnly boo
 // match), evaluate each routed shard's frozen snapshot — concurrently when
 // the route has more than one shard, dividing the validation worker budget
 // across them — and merge the shard-local results into one global Result.
+// A one-shard engine skips all of that: its shard is the whole graph, so
+// its serving view is evaluated directly and its ids are already global.
+//
+//mrx:hotpath engine snapshot read path
 func (en *Sharded) query(e *pathexpr.Expr, opt query.ValidateOpts) query.Result {
 	start := time.Now()
+	if len(en.shards) == 1 {
+		en.perShardQueries[0].Add(1)
+		res, strategy := en.shards[0].Snapshot().Serving().QueryOpts(e, opt)
+		en.record(e, strategy, &res, time.Since(start))
+		return res
+	}
 	route := en.route(e)
 	var res query.Result
 	var strategy core.Strategy
@@ -298,12 +316,18 @@ func (en *Sharded) query(e *pathexpr.Expr, opt query.ValidateOpts) query.Result 
 			res = mergeResults(parts)
 		}
 	}
-	elapsed := time.Since(start)
+	en.record(e, strategy, &res, time.Since(start))
+	return res
+}
+
+// record bumps the serving counters for one answered query and feeds the
+// tuner's sketch: one probe with atomic counter bumps, no allocation for an
+// already tracked expression.
+func (en *Sharded) record(e *pathexpr.Expr, strategy core.Strategy, res *query.Result, elapsed time.Duration) {
 	en.stats.recordQuery(strategy, res.Cost.IndexNodes, res.Cost.DataNodes, res.Precise, elapsed)
 	if t := en.tuner; t != nil {
 		t.Observe(e, elapsed, res.Cost.DataNodes, res.Precise)
 	}
-	return res
 }
 
 // route returns the indexes of the shards that can possibly answer e, in
@@ -389,7 +413,8 @@ func mergeResults(parts []query.Result) query.Result {
 // Support refines every shard e can match on, in shard order, locking only
 // one shard at a time: concurrent Support calls for expressions owned by
 // different shards do not serialize. It reports whether any shard
-// published a new snapshot.
+// published a new snapshot. Each shard publish counts one refinement; a
+// call that published on no shard counts one skip.
 func (en *Sharded) Support(e *pathexpr.Expr) bool {
 	published := false
 	for _, i := range en.route(e) {
@@ -397,8 +422,6 @@ func (en *Sharded) Support(e *pathexpr.Expr) bool {
 			published = true
 			en.stats.refinements.Add(1)
 			en.stats.publishes.Add(1)
-		} else {
-			en.stats.refinesSkipped.Add(1)
 		}
 	}
 	if !published {

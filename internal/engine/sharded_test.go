@@ -114,6 +114,35 @@ func TestShardedRouting(t *testing.T) {
 	}
 }
 
+// A Support that publishes on no shard counts exactly one skip, whatever
+// the shard count: re-Supporting a supported FUP moves RefinesSkipped by 1
+// and nothing else.
+func TestShardedSupportCountsOneSkip(t *testing.T) {
+	g := twoComponentGraph(t)
+	for _, n := range []int{1, 2} {
+		en := mustSharded(t, g, ShardedOptions{Shards: n, Parallelism: 1})
+		if en.NumShards() != n {
+			t.Fatalf("NumShards = %d, want %d", en.NumShards(), n)
+		}
+		e := mustParse("a/b")
+		if !en.Support(e) {
+			t.Fatalf("shards=%d: first Support published nothing", n)
+		}
+		before := en.Stats()
+		if en.Support(e) {
+			t.Fatalf("shards=%d: re-Support published", n)
+		}
+		after := en.Stats()
+		if d := after.RefinesSkipped - before.RefinesSkipped; d != 1 {
+			t.Errorf("shards=%d: re-Support moved RefinesSkipped by %d, want 1", n, d)
+		}
+		if after.Refinements != before.Refinements || after.SnapshotPublishes != before.SnapshotPublishes {
+			t.Errorf("shards=%d: re-Support moved refinements %d->%d, publishes %d->%d", n,
+				before.Refinements, after.Refinements, before.SnapshotPublishes, after.SnapshotPublishes)
+		}
+	}
+}
+
 // twoComponentGraph builds two weak components with disjoint label sets and
 // imprecise-at-I0 length-1 expressions on each: component 0 (with the
 // root) answers a/b, component 1 answers y/q.

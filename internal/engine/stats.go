@@ -12,13 +12,9 @@ import (
 	"mrx/internal/latstat"
 )
 
-// strategyStatic labels queries served from indexes attached with Register,
-// which bypass the adaptive snapshot's strategy dispatch.
-const strategyStatic core.Strategy = "static"
-
 // numStrategies is the number of histogram slots; keep in sync with
-// strategyNames (checked by an init assertion).
-const numStrategies = 7
+// strategyNames.
+const numStrategies = 6
 
 // strategyNames fixes the histogram slots; unknown strategy names fold into
 // the last slot.
@@ -29,7 +25,6 @@ var strategyNames = [numStrategies]core.Strategy{
 	core.StrategyBottomUp,
 	core.StrategyHybrid,
 	core.StrategyAuto,
-	strategyStatic,
 }
 
 func strategySlot(s core.Strategy) int {
@@ -57,7 +52,6 @@ type stats struct {
 	retirements    atomic.Uint64
 	retiresSkipped atomic.Uint64
 	publishes      atomic.Uint64
-	persistErrors  atomic.Uint64
 
 	latency [numStrategies]latstat.Histogram
 }
@@ -81,7 +75,7 @@ type StatsSnapshot struct {
 	// Generation is the number of index snapshots published since New; it
 	// increments once per applied refinement.
 	Generation uint64
-	// Queries counts Query/QueryCtx/QueryNamed calls served.
+	// Queries counts Query/QueryCtx/CountCtx calls served.
 	Queries uint64
 	// PreciseQueries counts queries answered without any validation.
 	PreciseQueries uint64
@@ -104,17 +98,17 @@ type StatsSnapshot struct {
 	// observable).
 	SnapshotPublishes uint64
 	// PersistErrors counts generations whose on-disk republish failed under
-	// Options.Persist; each such generation served from the heap instead.
-	// Zero whenever persistence is disabled.
+	// Options.Persist, summed over the shards; each such generation served
+	// from the heap instead. Zero whenever persistence is disabled.
 	PersistErrors uint64
 	// Latency summarizes per-strategy query latency.
 	Latency map[core.Strategy]LatencySummary
 	// AutoTune carries the tuner state when Options.AutoTune is enabled,
 	// nil otherwise.
 	AutoTune *adapt.Snapshot
-	// Shards carries one entry per shard when the snapshot came from a
-	// Sharded engine (its Generation is then the sum of the per-shard
-	// generations); nil for the monolithic Engine.
+	// Shards carries one entry per shard (Generation is the sum of the
+	// per-shard generations): exactly one for the monolithic Engine, nil for
+	// Static.
 	Shards []ShardStats
 }
 
@@ -158,7 +152,6 @@ func (s *stats) snapshot(generation uint64) StatsSnapshot {
 		Retirements:        s.retirements.Load(),
 		RetiresSkipped:     s.retiresSkipped.Load(),
 		SnapshotPublishes:  s.publishes.Load(),
-		PersistErrors:      s.persistErrors.Load(),
 		Latency:            make(map[core.Strategy]LatencySummary),
 	}
 	for i := range s.latency {

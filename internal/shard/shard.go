@@ -34,11 +34,13 @@ import (
 // components, materialized as an induced subgraph with dense local node
 // IDs. Local node i corresponds to global node ToGlobal(i); the mapping is
 // ascending, so a locally sorted answer maps to a globally sorted one.
-// Shards are immutable after Partition.
+// A shard that owns the whole graph is the graph itself: Local returns the
+// parent graph and ToGlobal is the identity. Shards are immutable after
+// Partition.
 type Shard struct {
 	id         int
 	local      *graph.Graph
-	toGlobal   []graph.NodeID
+	toGlobal   []graph.NodeID // nil for the whole-graph shard (identity)
 	hasRoot    bool
 	components int
 	labelHas   []bool // indexed by the shared (global) LabelID space
@@ -52,7 +54,7 @@ func (s *Shard) ID() int { return s.id }
 func (s *Shard) Local() *graph.Graph { return s.local }
 
 // NumNodes returns the number of data nodes owned by the shard.
-func (s *Shard) NumNodes() int { return len(s.toGlobal) }
+func (s *Shard) NumNodes() int { return s.local.NumNodes() }
 
 // Components returns how many weak components were packed into the shard.
 func (s *Shard) Components() int { return s.components }
@@ -63,11 +65,12 @@ func (s *Shard) Components() int { return s.components }
 func (s *Shard) HasRoot() bool { return s.hasRoot }
 
 // ToGlobal maps a local node ID back to the parent graph's ID.
-func (s *Shard) ToGlobal(v graph.NodeID) graph.NodeID { return s.toGlobal[v] }
-
-// GlobalIDs returns the shard's global node set, ascending. The slice
-// aliases internal storage and must not be modified.
-func (s *Shard) GlobalIDs() []graph.NodeID { return s.toGlobal }
+func (s *Shard) ToGlobal(v graph.NodeID) graph.NodeID {
+	if s.toGlobal == nil {
+		return v
+	}
+	return s.toGlobal[v]
+}
 
 // Covers reports whether e can possibly match inside the shard: a rooted
 // expression needs the shard that owns the root, and every non-wildcard
@@ -96,6 +99,8 @@ func (s *Shard) Covers(e *pathexpr.Expr) bool {
 // component is indivisible here), so the result may be shorter than n;
 // it always has at least one shard. Shard 0's first component is the one
 // owning global node 0, keeping the root at local node 0 of its shard.
+// When the clamped count is 1 the single shard is g itself: nothing is
+// copied, hashed or renumbered.
 func Partition(g *graph.Graph, n int) ([]*Shard, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: partition into %d shards", n)
@@ -103,6 +108,9 @@ func Partition(g *graph.Graph, n int) ([]*Shard, error) {
 	comps := g.WeakComponents()
 	if n > len(comps) {
 		n = len(comps)
+	}
+	if n <= 1 {
+		return []*Shard{newShard(0, g, nil, len(comps))}, nil
 	}
 
 	// Deterministic assignment order: big components first (load placement
@@ -170,20 +178,26 @@ func Partition(g *graph.Graph, n int) ([]*Shard, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		sh := &Shard{
-			id:         len(out),
-			local:      local,
-			toGlobal:   nodes,
-			hasRoot:    nodes[0] == 0,
-			components: len(cis),
-			labelHas:   make([]bool, g.NumLabels()),
-		}
-		for v := 0; v < local.NumNodes(); v++ {
-			sh.labelHas[local.Label(graph.NodeID(v))] = true
-		}
-		out = append(out, sh)
+		out = append(out, newShard(len(out), local, nodes, len(cis)))
 	}
 	return out, nil
+}
+
+// newShard wraps a shard-local graph; toGlobal nil means local is the whole
+// parent graph. It records which labels occur, for Covers.
+func newShard(id int, local *graph.Graph, toGlobal []graph.NodeID, components int) *Shard {
+	sh := &Shard{
+		id:         id,
+		local:      local,
+		toGlobal:   toGlobal,
+		hasRoot:    toGlobal == nil || toGlobal[0] == 0,
+		components: components,
+		labelHas:   make([]bool, local.NumLabels()),
+	}
+	for v := 0; v < local.NumNodes(); v++ {
+		sh.labelHas[local.Label(graph.NodeID(v))] = true
+	}
+	return sh
 }
 
 // signature hashes a component's length-one label paths (the multiset of

@@ -48,26 +48,23 @@ func TestPartitionCoversExactly(t *testing.T) {
 			if sh.ID() != si {
 				t.Fatalf("shard %d reports ID %d", si, sh.ID())
 			}
-			ids := sh.GlobalIDs()
-			if len(ids) != sh.NumNodes() || sh.NumNodes() != sh.Local().NumNodes() {
+			if sh.NumNodes() != sh.Local().NumNodes() {
 				t.Fatalf("shard %d: inconsistent sizes", si)
 			}
-			for i, v := range ids {
-				if i > 0 && ids[i-1] >= v {
+			for i := 0; i < sh.NumNodes(); i++ {
+				v := sh.ToGlobal(graph.NodeID(i))
+				if i > 0 && sh.ToGlobal(graph.NodeID(i-1)) >= v {
 					t.Fatalf("shard %d: global IDs not ascending", si)
 				}
 				if seen[v] {
 					t.Fatalf("node %d owned twice", v)
 				}
 				seen[v] = true
-				if sh.ToGlobal(graph.NodeID(i)) != v {
-					t.Fatalf("shard %d: ToGlobal(%d) != %d", si, i, v)
-				}
 				if sh.Local().NodeLabelName(graph.NodeID(i)) != g.NodeLabelName(v) {
 					t.Fatalf("shard %d node %d: label mismatch", si, i)
 				}
 			}
-			total += len(ids)
+			total += sh.NumNodes()
 		}
 		if total != g.NumNodes() {
 			t.Fatalf("n=%d: covered %d of %d nodes", n, total, g.NumNodes())
@@ -95,14 +92,57 @@ func TestPartitionDeterministic(t *testing.T) {
 		t.Fatalf("shard counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		ga, gb := a[i].GlobalIDs(), b[i].GlobalIDs()
-		if len(ga) != len(gb) {
+		if a[i].NumNodes() != b[i].NumNodes() {
 			t.Fatalf("shard %d sizes differ", i)
 		}
-		for j := range ga {
-			if ga[j] != gb[j] {
+		for j := 0; j < a[i].NumNodes(); j++ {
+			if v := graph.NodeID(j); a[i].ToGlobal(v) != b[i].ToGlobal(v) {
 				t.Fatalf("shard %d node sets differ at %d", i, j)
 			}
+		}
+	}
+}
+
+// A partition that clamps to one shard returns the graph itself: the same
+// *graph.Graph, identity ids, the root, and every label of the graph.
+func TestPartitionWholeGraph(t *testing.T) {
+	multi := gtest.New(13, gtest.Options{Nodes: 300, Labels: 6, RefProb: 0.1, Components: 4})
+	single := gtest.New(14, gtest.Options{Nodes: 300, Labels: 6, RefProb: 0.1, Components: 1})
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		n    int
+	}{
+		{"asked for one", multi, 1},
+		{"one component", single, 4},
+	} {
+		shards := mustPartition(t, tc.g, tc.n)
+		if len(shards) != 1 {
+			t.Fatalf("%s: %d shards, want 1", tc.name, len(shards))
+		}
+		sh := shards[0]
+		if sh.Local() != tc.g {
+			t.Fatalf("%s: Local() is a copy, want the graph itself", tc.name)
+		}
+		if sh.ID() != 0 || !sh.HasRoot() || sh.NumNodes() != tc.g.NumNodes() {
+			t.Fatalf("%s: id %d, root %v, %d of %d nodes", tc.name, sh.ID(), sh.HasRoot(), sh.NumNodes(), tc.g.NumNodes())
+		}
+		if want := len(tc.g.WeakComponents()); sh.Components() != want {
+			t.Fatalf("%s: %d components, want %d", tc.name, sh.Components(), want)
+		}
+		for v := 0; v < tc.g.NumNodes(); v++ {
+			if got := sh.ToGlobal(graph.NodeID(v)); got != graph.NodeID(v) {
+				t.Fatalf("%s: ToGlobal(%d) = %d", tc.name, v, got)
+			}
+		}
+		for l := 0; l < tc.g.NumLabels(); l++ {
+			name := tc.g.LabelName(graph.LabelID(l))
+			if !sh.Covers(mustParse(t, name)) {
+				t.Fatalf("%s: whole-graph shard does not cover label %q", tc.name, name)
+			}
+		}
+		if !sh.Covers(mustParse(t, "/"+tc.g.NodeLabelName(0))) {
+			t.Fatalf("%s: whole-graph shard does not cover the rooted root label", tc.name)
 		}
 	}
 }

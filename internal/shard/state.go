@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +44,9 @@ func (s *Snap) Serving() *core.FrozenMStar {
 // State owns one shard's snapshot lifecycle: a write lock serializing
 // refinement and retirement on this shard only, an atomic pointer readers
 // load without blocking, and freeze telemetry. Writers on different shards
-// never contend — that independence is the point of the partition.
+// never contend — that independence is the point of the partition. It is
+// the only snapshot lifecycle in the module: the monolithic engine is a
+// single State over a whole-graph shard.
 //
 // A State is constructed unfrozen (NewState builds the mutable index only)
 // and must not serve queries until FreezeInitial publishes generation 0;
@@ -132,11 +135,11 @@ func (st *State) publishLocked(next *Snap) {
 // were written by this process one atomic rename ago.
 func (st *State) republish(fz *core.FrozenMStar) (*core.FrozenMStar, error) {
 	if err := mmapstore.Publish(st.persistPath, fz, st.persistWO); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: persist %s: %w", st.persistPath, err)
 	}
 	snap, err := mmapstore.Open(st.persistPath, st.shard.local, mmapstore.Options{Trusted: true, MStar: st.opts})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: persist %s: reopen: %w", st.persistPath, err)
 	}
 	return snap.FrozenMStar(), nil
 }
@@ -186,10 +189,11 @@ func (st *State) FreezeStats() (count uint64, last, total time.Duration) {
 // Refine supports the FUP e on this shard: evaluate against the current
 // frozen snapshot, REFINE* a private clone, re-freeze only the components
 // the refinement dirtied (FreezeReusing), and publish the next generation.
-// It locks only this shard, reports whether a snapshot was published, and
-// mirrors the monolithic engine's no-op detection: a FUP already in the
-// registry, an already-precise answer, or an unchanged version vector
-// publishes nothing.
+// It locks only this shard and reports whether a snapshot was published.
+// A FUP already in the registry, an already-precise answer, or an unchanged
+// version vector (a MaxK cap or a descendant-axis FUP made refinement a
+// no-op) publishes nothing: no probe, clone or freeze runs for a registry
+// hit.
 func (st *State) Refine(e *pathexpr.Expr, opt query.ValidateOpts) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
