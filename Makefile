@@ -121,6 +121,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDifferential -fuzztime=$(FUZZTIME) ./internal/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzDirectives -fuzztime=$(FUZZTIME) ./internal/analysis/
 	$(GO) test -run='^$$' -fuzz=FuzzFrozenArrays -fuzztime=$(FUZZTIME) ./internal/index/
+	$(GO) test -run='^$$' -fuzz=FuzzQueryFrontEnd -fuzztime=$(FUZZTIME) ./internal/serve/
+	# Ten arguments make each new input slow to minimize; cap it so the
+	# target spends its fuzztime fuzzing.
+	$(GO) test -run='^$$' -fuzz=FuzzQueryResponse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/serve/
 	# The checksummed mmap format defeats coverage-keeping minimization (any
 	# trim breaks a CRC), so cap the per-input minimize budget or the engine
 	# spends its whole fuzztime minimizing instead of fuzzing.

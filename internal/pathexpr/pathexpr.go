@@ -135,7 +135,7 @@ func Parse(s string) (*Expr, error) {
 		e.Rooted = false
 	}
 	if s == "" {
-		return nil, fmt.Errorf("pathexpr: no steps in %q", orig)
+		return nil, syntaxError("pathexpr: no steps in %q", orig)
 	}
 	// Every step is one slash-separated segment, so the slash count bounds
 	// the step count and Steps is allocated once.
@@ -149,13 +149,13 @@ func Parse(s string) (*Expr, error) {
 			// axis: a//b splits into "a", "", "b". The first step cannot be
 			// preceded by one (that slash belonged to the prefix).
 			if len(e.Steps) == 0 || descendant {
-				return nil, fmt.Errorf("pathexpr: empty step in %q", orig)
+				return nil, syntaxError("pathexpr: empty step in %q", orig)
 			}
 			descendant = true
 			continue
 		}
 		if strings.ContainsAny(part, " \t\n") {
-			return nil, fmt.Errorf("pathexpr: whitespace in step %q", part)
+			return nil, syntaxError("pathexpr: whitespace in step %q", part)
 		}
 		step := Step{Label: part, Descendant: descendant}
 		if part == "*" {
@@ -165,9 +165,16 @@ func Parse(s string) (*Expr, error) {
 		e.Steps = append(e.Steps, step)
 	}
 	if descendant {
-		return nil, fmt.Errorf("pathexpr: trailing slash in %q", orig)
+		return nil, syntaxError("pathexpr: trailing slash in %q", orig)
 	}
 	return e, nil
+}
+
+// syntaxError is the error Parse returns for a rejected expression.
+//
+//mrx:coldpath a rejected expression ends its request with a 400; formatting its message is not the served path
+func syntaxError(format, s string) error {
+	return fmt.Errorf(format, s)
 }
 
 // FromLabels builds a descendant-anchored expression from a label sequence.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"mrx/internal/pathexpr"
 	"mrx/internal/query"
 )
 
@@ -34,22 +35,29 @@ type flightKey struct {
 // impatient client cannot kill a result other clients still want, while a
 // query nobody is waiting for anymore stops validating mid-flight.
 type coalescer struct {
+	exec    evalFunc
 	mu      sync.Mutex
 	flights map[flightKey]*flight
 }
 
-func newCoalescer() *coalescer {
-	return &coalescer{flights: make(map[flightKey]*flight)}
+// evalFunc evaluates e under ctx, counting only when countOnly is set. The
+// coalescer takes it once, so a request passes its expression, not a
+// closure over it.
+type evalFunc func(ctx context.Context, countOnly bool, e *pathexpr.Expr) (query.Result, error)
+
+func newCoalescer(exec evalFunc) *coalescer {
+	return &coalescer{exec: exec, flights: make(map[flightKey]*flight)}
 }
 
-// do returns exec's result for key, coalescing concurrent callers: at most
-// one exec runs per key at a time. shared reports whether this caller
-// joined a flight started by another (the coalesce counter). If ctx is
-// done before the flight completes, do detaches and returns ctx.Err(); the
-// last waiter to detach cancels the exec context.
+// do returns exec's result for e under key, coalescing concurrent callers:
+// at most one exec runs per key at a time, on the expression of the caller
+// that started it. shared reports whether this caller joined a flight
+// started by another (the coalesce counter). If ctx is done before the
+// flight completes, do detaches and returns ctx.Err(); the last waiter to
+// detach cancels the exec context.
 //
 //mrx:hotpath coalescer fast path: every served request passes through here
-func (c *coalescer) do(ctx context.Context, key flightKey, exec func(context.Context) (query.Result, error)) (res query.Result, shared bool, err error) {
+func (c *coalescer) do(ctx context.Context, key flightKey, e *pathexpr.Expr) (res query.Result, shared bool, err error) {
 	c.mu.Lock()
 	f, ok := c.flights[key]
 	if ok {
@@ -60,7 +68,7 @@ func (c *coalescer) do(ctx context.Context, key flightKey, exec func(context.Con
 		f = &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
 		c.flights[key] = f
 		go func() {
-			res, err := exec(execCtx)
+			res, err := c.exec(execCtx, key.countOnly, e)
 			c.mu.Lock()
 			f.res, f.err = res, err
 			// Unpublish before signaling: a caller arriving after done is

@@ -132,7 +132,7 @@ func (w *discardWriter) Write(b []byte) (int, error) {
 // a supported (precise) FUP, handler entry to encoded body, with the
 // backend's own share included. It is the measured count; raise it only
 // with a reason.
-const maxCountPathAllocs = 16
+const maxCountPathAllocs = 10
 
 // The count path's allocations are pinned without timing anything, so they
 // cannot creep back in unnoticed.

@@ -80,12 +80,11 @@ func TestCoalescerCollapsesIdenticalQueries(t *testing.T) {
 	const n = 20
 	var calls atomic.Int64
 	release := make(chan struct{})
-	co := newCoalescer()
-	exec := func(ctx context.Context) (query.Result, error) {
+	co := newCoalescer(func(ctx context.Context, _ bool, _ *pathexpr.Expr) (query.Result, error) {
 		calls.Add(1)
 		<-release
 		return query.Result{Answer: []graph.NodeID{7}, Precise: true}, nil
-	}
+	})
 
 	var wg sync.WaitGroup
 	results := make([]query.Result, n)
@@ -95,7 +94,7 @@ func TestCoalescerCollapsesIdenticalQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], shareds[i], errs[i] = co.do(context.Background(), flightKey{canonical: "k"}, exec)
+			results[i], shareds[i], errs[i] = co.do(context.Background(), flightKey{canonical: "k"}, nil)
 		}(i)
 	}
 	waitersFor(t, co, flightKey{canonical: "k"}, n)
@@ -129,17 +128,16 @@ func TestCoalescerCollapsesIdenticalQueries(t *testing.T) {
 // Distinct canonical expressions must never coalesce.
 func TestCoalescerKeepsDistinctQueriesApart(t *testing.T) {
 	var calls atomic.Int64
-	co := newCoalescer()
-	exec := func(ctx context.Context) (query.Result, error) {
+	co := newCoalescer(func(ctx context.Context, _ bool, _ *pathexpr.Expr) (query.Result, error) {
 		calls.Add(1)
 		return query.Result{}, nil
-	}
+	})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, shared, err := co.do(context.Background(), flightKey{canonical: fmt.Sprintf("k%d", i)}, exec); err != nil || shared {
+			if _, shared, err := co.do(context.Background(), flightKey{canonical: fmt.Sprintf("k%d", i)}, nil); err != nil || shared {
 				t.Errorf("key k%d: shared=%v err=%v", i, shared, err)
 			}
 		}(i)
@@ -153,13 +151,12 @@ func TestCoalescerKeepsDistinctQueriesApart(t *testing.T) {
 // When every waiter detaches, the evaluation's context must be canceled;
 // while any waiter remains, it must not be.
 func TestCoalescerCancelsWhenAllWaitersLeave(t *testing.T) {
-	co := newCoalescer()
 	execCanceled := make(chan struct{})
-	exec := func(ctx context.Context) (query.Result, error) {
+	co := newCoalescer(func(ctx context.Context, _ bool, _ *pathexpr.Expr) (query.Result, error) {
 		<-ctx.Done()
 		close(execCanceled)
 		return query.Result{}, ctx.Err()
-	}
+	})
 
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	ctx2, cancel2 := context.WithCancel(context.Background())
@@ -167,8 +164,8 @@ func TestCoalescerCancelsWhenAllWaitersLeave(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(2)
-	go func() { defer wg.Done(); _, _, errs[0] = co.do(ctx1, flightKey{canonical: "k"}, exec) }()
-	go func() { defer wg.Done(); _, _, errs[1] = co.do(ctx2, flightKey{canonical: "k"}, exec) }()
+	go func() { defer wg.Done(); _, _, errs[0] = co.do(ctx1, flightKey{canonical: "k"}, nil) }()
+	go func() { defer wg.Done(); _, _, errs[1] = co.do(ctx2, flightKey{canonical: "k"}, nil) }()
 	waitersFor(t, co, flightKey{canonical: "k"}, 2)
 
 	cancel1() // one waiter leaves; the other still wants the result

@@ -48,14 +48,15 @@ func New(q query.ContextQuerier, cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	counter, _ := q.(query.CountQuerier)
-	return &Server{
+	s := &Server{
 		q:       q,
 		counter: counter,
 		cfg:     cfg,
 		adm:     newAdmission(cfg),
-		co:      newCoalescer(),
 		start:   time.Now(),
-	}, nil
+	}
+	s.co = newCoalescer(s.eval)
+	return s, nil
 }
 
 // Handler returns the server's routing table:
@@ -105,13 +106,13 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+//mrx:hotpath request front end: every /query passes through here
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
 		return
 	}
-	params := r.URL.Query()
-	raw := params.Get("q")
+	raw, answers := scanQuery(r.URL.RawQuery)
 	if raw == "" {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing q parameter"})
 		return
@@ -125,31 +126,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Without answers=1 only the count is sent, so a backend that can count
 	// without materialising the ids is asked to.
-	wantIDs := params.Get("answers") == "1"
+	wantIDs := answers == "1"
 	countOnly := s.counter != nil && !wantIDs
 	key := flightKey{canonical: pathexpr.Canonical(e), countOnly: countOnly}
 	start := time.Now()
-	res, shared, err := s.co.do(r.Context(), key, func(execCtx context.Context) (query.Result, error) {
-		// Admission runs inside the flight: coalesced followers never
-		// consume queue capacity, only distinct expressions compete.
-		if err := s.adm.acquire(execCtx); err != nil {
-			return query.Result{}, err
-		}
-		defer s.adm.release()
-		s.ctr.Flights.Add(1)
-		t0 := time.Now()
-		var r query.Result
-		var err error
-		if countOnly {
-			r, err = s.counter.CountCtx(execCtx, e)
-		} else {
-			r, err = s.q.QueryCtx(execCtx, e)
-		}
-		if err == nil {
-			s.adm.observe(time.Since(t0))
-		}
-		return r, err
-	})
+	res, shared, err := s.co.do(r.Context(), key, e)
 	switch {
 	case err == nil:
 		s.ctr.Served.Add(1)
@@ -173,7 +154,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if wantIDs {
 			resp.Answer = res.Answer
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeQueryResponse(w, &resp)
 	case errors.Is(err, ErrShed):
 		s.ctr.Shed.Add(1)
 		secs := int64((s.cfg.RetryAfter + time.Second - 1) / time.Second)
@@ -189,6 +170,31 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.ctr.Errored.Add(1)
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	}
+}
+
+// eval is the coalescer's evaluation of one flight. Admission runs inside
+// the flight: coalesced followers never consume queue capacity, only
+// distinct expressions compete.
+//
+//mrx:coldpath the backend's read path is held to hot-path rules by its own roots (engine, static); this dispatch also reaches the materialising reference queriers behind AsContextQuerier
+func (s *Server) eval(ctx context.Context, countOnly bool, e *pathexpr.Expr) (query.Result, error) {
+	if err := s.adm.acquire(ctx); err != nil {
+		return query.Result{}, err
+	}
+	defer s.adm.release()
+	s.ctr.Flights.Add(1)
+	t0 := time.Now()
+	var r query.Result
+	var err error
+	if countOnly {
+		r, err = s.counter.CountCtx(ctx, e)
+	} else {
+		r, err = s.q.QueryCtx(ctx, e)
+	}
+	if err == nil {
+		s.adm.observe(time.Since(t0))
+	}
+	return r, err
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -212,6 +218,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// writeJSON encodes v as the response body with the given status.
+//
+//mrx:coldpath error responses and /stats: encoding/json's reflection is affordable off the served path
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
