@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet lint lint-stats test race check bench bench-smoke bench-test drift-smoke serve-smoke chaos-smoke chaos-bench mmap-smoke fuzz cover
+.PHONY: all build fmt vet lint lint-stats test race check bench-smoke bench-test drift-smoke serve-smoke chaos-smoke chaos-bench mmap-smoke fuzz cover
 
 all: check
 
@@ -39,21 +39,12 @@ race:
 # detector (the Engine's concurrency tests need it).
 check: fmt vet lint lint-stats build race
 
-# bench runs every benchmark with -benchmem and archives the results as
-# machine-readable JSON under results/ (cmd/benchjson parses the standard
-# `go test -bench` output). BENCHLABEL tags the report, e.g.
-# `make bench BENCHLABEL=post-frozen`.
-BENCHLABEL ?= dev
-
-bench:
-	@mkdir -p results
-	$(GO) test -run='^$$' -bench=. -benchmem ./... | tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -label $(BENCHLABEL) \
-		> results/BENCH_$$(date +%Y-%m-%d)_$(BENCHLABEL).json
-
-# bench-smoke compiles and runs every benchmark exactly once — a CI
+# bench-smoke compiles and runs every Go benchmark exactly once — a CI
 # regression gate against benchmarks that rot (won't build, panic, or
-# b.Fatal), without paying for measurement.
+# b.Fatal), without paying for measurement. It is the only runner of the
+# serving-layer benchmarks (BenchmarkEngineServing, BenchmarkShardedServing,
+# BenchmarkAutoTuneSteadyState, mmapstore's BenchmarkColdStart and
+# BenchmarkServing); bench/ measures the same layers end to end.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 

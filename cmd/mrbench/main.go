@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"mrx/internal/experiments"
@@ -26,11 +25,8 @@ import (
 
 func main() {
 	fig := flag.String("fig", "", "figure to reproduce: 8..26 or all")
-	ablation := flag.String("ablation", "", "ablation to run: strategies, literal, accounting, apex, engine, adapt, shard, mmap")
-	readers := flag.String("readers", "1,4,8", "reader-goroutine counts for -ablation engine")
-	passes := flag.Int("passes", 2, "workload replays per reader for -ablation engine/shard")
-	shards := flag.String("shards", "1,2,4,8", "shard counts for -ablation shard")
-	dataset := flag.String("dataset", "xmark", "dataset for ablations: xmark, nasa or corpus (multi-document; required for meaningful -ablation shard)")
+	ablation := flag.String("ablation", "", "ablation to run: strategies, literal, accounting, apex")
+	dataset := flag.String("dataset", "xmark", "dataset for ablations: xmark or nasa")
 	scale := flag.Float64("scale", 0.1, "dataset scale (1.0 = paper size)")
 	queries := flag.Int("queries", 500, "workload size (paper: 500)")
 	maxQueryLen := flag.Int("maxlen", 9, "max query length for ablations")
@@ -60,7 +56,7 @@ func main() {
 
 	switch {
 	case *ablation != "":
-		runAblation(*ablation, *dataset, cfg, *maxQueryLen, *readers, *shards, *passes, progress)
+		runAblation(*ablation, *dataset, cfg, *maxQueryLen, progress)
 	case *fig == "all":
 		for _, f := range experiments.Figures {
 			if err := runOne(f.ID, cfg, *svgDir, *csvDir, progress); err != nil {
@@ -117,7 +113,7 @@ func runOne(id int, cfg experiments.Config, svgDir, csvDir string, progress expe
 	})
 }
 
-func runAblation(name, dataset string, cfg experiments.Config, maxQueryLen int, readers, shards string, passes int, progress experiments.Progress) {
+func runAblation(name, dataset string, cfg experiments.Config, maxQueryLen int, progress experiments.Progress) {
 	ds, err := experiments.LoadDataset(dataset, cfg.Scale, cfg.Seed)
 	if err != nil {
 		fail(err)
@@ -135,57 +131,6 @@ func runAblation(name, dataset string, cfg experiments.Config, maxQueryLen int, 
 		fmt.Printf("APEX-like cache vs M*(k) on %s (scale %g, %d seen + %d unseen queries)\n",
 			dataset, cfg.Scale, len(queries), len(unseen))
 		experiments.WriteAPEXTable(os.Stdout, experiments.RunAPEXAblation(ds, queries, unseen, progress))
-	case "engine":
-		counts, err := parseReaderCounts(readers)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("concurrent engine serving on %s (scale %g, %d queries, %d passes/reader)\n",
-			dataset, cfg.Scale, len(queries), passes)
-		res, err := experiments.RunEngineAblation(ds, queries, counts, passes, progress)
-		if err != nil {
-			fail(err)
-		}
-		experiments.WriteEngineTable(os.Stdout, res)
-	case "shard":
-		counts, err := parseReaderCounts(shards)
-		if err != nil {
-			fail(err)
-		}
-		rcounts, err := parseReaderCounts(readers)
-		if err != nil {
-			fail(err)
-		}
-		// The widest reader count stresses the scatter path hardest; the
-		// shard sweep is the variable under study.
-		r := rcounts[len(rcounts)-1]
-		fmt.Printf("sharded scatter-gather serving on %s (scale %g, %d queries, %d readers, %d passes/reader)\n",
-			dataset, cfg.Scale, len(queries), r, passes)
-		res, err := experiments.RunShardAblation(ds, queries, counts, r, passes, progress)
-		if err != nil {
-			fail(err)
-		}
-		experiments.WriteShardTable(os.Stdout, res)
-	case "adapt":
-		fmt.Printf("adaptive tuning vs static oracle on %s (scale %g, %d queries)\n",
-			dataset, cfg.Scale, len(queries))
-		res, err := experiments.RunAdaptAblation(ds, queries, 3, 6, progress)
-		if err != nil {
-			fail(err)
-		}
-		experiments.WriteAdaptTable(os.Stdout, res)
-	case "mmap":
-		// A size sweep, not a single dataset: -scale sets the top; the
-		// smaller points put an order of magnitude under it so the flat
-		// trusted-open column is visible against the growing heap column.
-		scales := []float64{cfg.Scale / 10, cfg.Scale / 3, cfg.Scale}
-		fmt.Printf("disk-resident serving (mmap snapshots) on %s (scales %.3g %.3g %.3g, %d queries, %d passes)\n",
-			dataset, scales[0], scales[1], scales[2], cfg.NumQueries, passes)
-		res, err := experiments.RunMmapAblation(dataset, scales, cfg, maxQueryLen, passes, progress)
-		if err != nil {
-			fail(err)
-		}
-		experiments.WriteMmapTable(os.Stdout, res)
 	case "accounting":
 		row := experiments.RunMStarAccounting(ds, queries, progress)
 		fmt.Printf("M*(k) size accounting on %s (scale %g, %d queries)\n", dataset, cfg.Scale, len(queries))
@@ -195,21 +140,8 @@ func runAblation(name, dataset string, cfg experiments.Config, maxQueryLen int, 
 		fmt.Printf("%-14s %10d %10d\n", "logical", row.LogicalNodes, row.LogicalEdges)
 		fmt.Printf("cross-links: %d\n", row.CrossLinks)
 	default:
-		fail(fmt.Errorf("unknown ablation %q (want strategies, literal, accounting, apex, engine, adapt, shard or mmap)", name))
+		fail(fmt.Errorf("unknown ablation %q (want strategies, literal, accounting or apex)", name))
 	}
-}
-
-// parseReaderCounts parses the -readers flag: comma-separated positive ints.
-func parseReaderCounts(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -readers value %q (want e.g. 1,4,8)", s)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
 }
 
 func fail(err error) {

@@ -163,7 +163,7 @@ func (s *stats) snapshot(generation uint64) StatsSnapshot {
 }
 
 // WriteTo renders the snapshot as an aligned text block (cmd/mrquery -stats
-// and the mrbench engine ablation use it).
+// uses it).
 func (s StatsSnapshot) WriteTo(w io.Writer) (int64, error) {
 	var n int64
 	pr := func(format string, args ...any) error {

@@ -31,13 +31,7 @@ type Dataset struct {
 	Graph *graph.Graph
 }
 
-// corpusDocs is the document count of the "corpus" dataset: enough weak
-// components for an 8-shard partition to stay meaningful, few enough that
-// each document keeps realistic structure at small scales.
-const corpusDocs = 12
-
-// LoadDataset builds one of the paper's datasets ("xmark" or "nasa") — or
-// the multi-document "corpus" used by the sharding experiments — at the
+// LoadDataset builds one of the paper's datasets, "xmark" or "nasa", at the
 // given scale (1.0 reproduces the paper's ~120k/~90k node documents).
 func LoadDataset(name string, scale float64, seed int64) (Dataset, error) {
 	switch name {
@@ -45,14 +39,8 @@ func LoadDataset(name string, scale float64, seed int64) (Dataset, error) {
 		return Dataset{Name: "xmark", Graph: datagen.XMarkGraph(scale, seed)}, nil
 	case "nasa":
 		return Dataset{Name: "nasa", Graph: datagen.NASAGraph(scale, seed)}, nil
-	case "corpus":
-		g, err := datagen.CorpusGraph(scale, seed, corpusDocs)
-		if err != nil {
-			return Dataset{}, fmt.Errorf("experiments: corpus: %w", err)
-		}
-		return Dataset{Name: "corpus", Graph: g}, nil
 	default:
-		return Dataset{}, fmt.Errorf("experiments: unknown dataset %q (want xmark, nasa or corpus)", name)
+		return Dataset{}, fmt.Errorf("experiments: unknown dataset %q (want xmark or nasa)", name)
 	}
 }
 

@@ -17,8 +17,10 @@ func miniDataset(t *testing.T, name string) Dataset {
 }
 
 func TestLoadDataset(t *testing.T) {
-	if _, err := LoadDataset("unknown", 1, 1); err == nil {
-		t.Error("unknown dataset should fail")
+	for _, name := range []string{"unknown", "corpus"} {
+		if _, err := LoadDataset(name, 1, 1); err == nil {
+			t.Errorf("dataset %q should fail", name)
+		}
 	}
 	ds := miniDataset(t, "xmark")
 	if ds.Graph.NumNodes() < 1000 {

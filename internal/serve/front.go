@@ -55,6 +55,10 @@ func queryUnescape(s string) (string, bool) {
 // reads header values, and Header.Add would copy it (its cap is its len).
 var jsonContentType = []string{"application/json"}
 
+// allowGET is the Allow header of a 405 /query answer (RFC 9110 §15.5.6),
+// shared the same way as jsonContentType.
+var allowGET = []string{http.MethodGet}
+
 // maxPooledResponse bounds the response buffers kept for reuse, so one
 // answers=1 reply with millions of ids does not stay resident.
 const maxPooledResponse = 64 << 10

@@ -297,6 +297,27 @@ func TestServerHTTP(t *testing.T) {
 	}
 }
 
+// A non-GET /query is a 405 that names the allowed method, as RFC 9110
+// §15.5.6 requires; a GET answer carries no Allow header.
+func TestQueryNonGETAllowsGET(t *testing.T) {
+	h := mustServer(t, &stubQuerier{}, DefaultConfig()).Handler()
+	for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete, http.MethodHead} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, "/query?q=//a/b", nil))
+		if rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s: status %d, want 405", method, rec.Code)
+		}
+		if got := rec.Header().Values("Allow"); len(got) != 1 || got[0] != "GET" {
+			t.Errorf("%s: Allow %q, want [GET]", method, got)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?q=//a/b", nil))
+	if rec.Code != http.StatusOK || rec.Header()["Allow"] != nil {
+		t.Errorf("GET: status %d, Allow %q", rec.Code, rec.Header()["Allow"])
+	}
+}
+
 // Saturating the queue over HTTP must produce 429 with a Retry-After
 // header while the in-flight request still completes.
 func TestServerShedsOverHTTP(t *testing.T) {

@@ -109,6 +109,7 @@ type errorResponse struct {
 //mrx:hotpath request front end: every /query passes through here
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
+		w.Header()["Allow"] = allowGET
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only"})
 		return
 	}
