@@ -1,9 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates nodes and edges and produces a compact Graph.
@@ -75,15 +76,13 @@ func (b *Builder) Freeze() (*Graph, error) {
 
 	// Sort edges by (From, To) for deterministic CSR layout; keep duplicates
 	// out (parallel edges add nothing to bisimilarity or path semantics).
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].From != b.edges[j].From {
-			return b.edges[i].From < b.edges[j].From
-		}
-		if b.edges[i].To != b.edges[j].To {
-			return b.edges[i].To < b.edges[j].To
-		}
-		return b.edges[i].Kind < b.edges[j].Kind
-	})
+	// A caller that adds edges in order pays one check instead of a sort.
+	byEndpoints := func(x, y Edge) int {
+		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To), cmp.Compare(x.Kind, y.Kind))
+	}
+	if !slices.IsSortedFunc(b.edges, byEndpoints) {
+		slices.SortFunc(b.edges, byEndpoints)
+	}
 	edges := b.edges[:0]
 	for i, e := range b.edges {
 		if i > 0 && e.From == b.edges[i-1].From && e.To == b.edges[i-1].To {
@@ -92,39 +91,16 @@ func (b *Builder) Freeze() (*Graph, error) {
 		edges = append(edges, e)
 	}
 
-	g := &Graph{
-		labels:    b.labels,
-		labelIDs:  b.labelIDs,
-		nodeLabel: b.nodeLbl,
-		numEdges:  len(edges),
-	}
-
-	g.childStart = make([]int32, n+1)
-	g.parentStart = make([]int32, n+1)
-	for _, e := range edges {
-		g.childStart[e.From+1]++
-		g.parentStart[e.To+1]++
-		if e.Kind == RefEdge {
-			g.numRef++
-		}
+	childStart := make([]int32, n+1)
+	children := make([]NodeID, len(edges))
+	childKind := make([]EdgeKind, len(edges))
+	for i, e := range edges {
+		childStart[e.From+1]++
+		children[i] = e.To
+		childKind[i] = e.Kind
 	}
 	for i := 0; i < n; i++ {
-		g.childStart[i+1] += g.childStart[i]
-		g.parentStart[i+1] += g.parentStart[i]
+		childStart[i+1] += childStart[i]
 	}
-	g.children = make([]NodeID, len(edges))
-	g.childKind = make([]EdgeKind, len(edges))
-	g.parents = make([]NodeID, len(edges))
-	cpos := make([]int32, n)
-	ppos := make([]int32, n)
-	for _, e := range edges {
-		ci := g.childStart[e.From] + cpos[e.From]
-		g.children[ci] = e.To
-		g.childKind[ci] = e.Kind
-		cpos[e.From]++
-		pi := g.parentStart[e.To] + ppos[e.To]
-		g.parents[pi] = e.From
-		ppos[e.To]++
-	}
-	return g, nil
+	return newGraph(b.labels, b.labelIDs, b.nodeLbl, childStart, children, childKind), nil
 }

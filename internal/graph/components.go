@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // WeakComponents returns the weakly-connected components of g: the node
 // sets connected by edges of either direction and either kind. Components
@@ -22,8 +19,7 @@ func (g *Graph) WeakComponents() [][]NodeID {
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]] // path halving
 			x = parent[x]
@@ -45,19 +41,17 @@ func (g *Graph) WeakComponents() [][]NodeID {
 			union(int32(v), int32(c))
 		}
 	}
-	// Bucket nodes by root; iterating v ascending keeps each component
-	// sorted and first-seen order keyed by the component's smallest member.
-	slot := make(map[int32]int)
+	// A root is its component's smallest member, so an ascending scan meets
+	// it first: it opens the component's slot, later members find it.
+	slot := make([]int32, n)
 	var out [][]NodeID
 	for v := 0; v < n; v++ {
 		r := find(int32(v))
-		i, ok := slot[r]
-		if !ok {
-			i = len(out)
-			slot[r] = i
+		if r == int32(v) {
+			slot[v] = int32(len(out))
 			out = append(out, nil)
 		}
-		out[i] = append(out[i], NodeID(v))
+		out[slot[r]] = append(out[slot[r]], NodeID(v))
 	}
 	return out
 }
@@ -67,6 +61,8 @@ func (g *Graph) WeakComponents() [][]NodeID {
 // may cross the boundary of the set — true for any union of weak
 // components). Local node i of the result is nodes[i]; the label table is
 // shared with g, so LabelIDs are interchangeable between the two graphs.
+// Local IDs are monotone in global IDs, so child lists stay strictly
+// ascending and the derived parent lists keep g's ascending order.
 //
 // Unlike Builder.Freeze, Induce does not require local node 0 to have
 // in-degree 0: a non-root component has no distinguished entry point, and
@@ -80,6 +76,9 @@ func (g *Graph) Induce(nodes []NodeID) (*Graph, error) {
 	for i := range local {
 		local[i] = -1
 	}
+	n := len(nodes)
+	nodeLabel := make([]LabelID, n)
+	childStart := make([]int32, n+1)
 	for i, v := range nodes {
 		if v < 0 || int(v) >= g.NumNodes() {
 			return nil, fmt.Errorf("graph: induce: node %d out of range (n=%d)", v, g.NumNodes())
@@ -88,58 +87,20 @@ func (g *Graph) Induce(nodes []NodeID) (*Graph, error) {
 			return nil, fmt.Errorf("graph: induce: nodes not sorted/unique at %d: %d after %d", i, v, nodes[i-1])
 		}
 		local[v] = int32(i)
+		nodeLabel[i] = g.nodeLabel[v]
+		childStart[i+1] = childStart[i] + int32(g.OutDegree(v))
 	}
-
-	n := len(nodes)
-	sub := &Graph{
-		labels:    g.labels,
-		labelIDs:  g.labelIDs,
-		nodeLabel: make([]LabelID, n),
-	}
-	sub.childStart = make([]int32, n+1)
-	sub.parentStart = make([]int32, n+1)
+	children := make([]NodeID, childStart[n])
+	childKind := make([]EdgeKind, childStart[n])
 	for i, v := range nodes {
-		sub.nodeLabel[i] = g.nodeLabel[v]
-		for _, c := range g.Children(v) {
+		at := childStart[i]
+		copy(childKind[at:], g.ChildKinds(v))
+		for j, c := range g.Children(v) {
 			if local[c] < 0 {
 				return nil, fmt.Errorf("graph: induce: edge %d->%d leaves the node set", v, c)
 			}
-			sub.childStart[i+1]++
-			sub.parentStart[local[c]+1]++
+			children[int(at)+j] = NodeID(local[c])
 		}
 	}
-	for i := 0; i < n; i++ {
-		sub.childStart[i+1] += sub.childStart[i]
-		sub.parentStart[i+1] += sub.parentStart[i]
-	}
-	sub.numEdges = int(sub.childStart[n])
-	sub.children = make([]NodeID, sub.numEdges)
-	sub.childKind = make([]EdgeKind, sub.numEdges)
-	sub.parents = make([]NodeID, sub.numEdges)
-	cpos := make([]int32, n)
-	ppos := make([]int32, n)
-	for i, v := range nodes {
-		kinds := g.ChildKinds(v)
-		for j, c := range g.Children(v) {
-			lc := local[c]
-			ci := sub.childStart[i] + cpos[i]
-			sub.children[ci] = NodeID(lc)
-			sub.childKind[ci] = kinds[j]
-			cpos[i]++
-			if kinds[j] == RefEdge {
-				sub.numRef++
-			}
-			pi := sub.parentStart[lc] + ppos[lc]
-			sub.parents[pi] = NodeID(i)
-			ppos[lc]++
-		}
-	}
-	// Parent adjacency in g is sorted by source; rebuilding it from the
-	// child lists of an arbitrary node subset can perturb that order, so
-	// restore it per node for deterministic traversal.
-	for i := 0; i < n; i++ {
-		seg := sub.parents[sub.parentStart[i]:sub.parentStart[i+1]]
-		sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
-	}
-	return sub, nil
+	return newGraph(g.labels, g.labelIDs, nodeLabel, childStart, children, childKind), nil
 }

@@ -12,6 +12,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 )
@@ -73,6 +74,67 @@ type Graph struct {
 
 	numEdges int
 	numRef   int
+}
+
+// newGraph wires a Graph around its child CSR, each child list strictly
+// ascending; Freeze, Induce and FromCSR all build through it. Its counting
+// transpose visits sources in ascending order, appending each to its
+// children's parent lists, so every parent list comes out ascending.
+func newGraph(labels []string, labelIDs map[string]LabelID, nodeLabel []LabelID, childStart []int32, children []NodeID, childKind []EdgeKind) *Graph {
+	n := len(nodeLabel)
+	g := &Graph{
+		labels:     labels,
+		labelIDs:   labelIDs,
+		nodeLabel:  nodeLabel,
+		childStart: childStart,
+		children:   children,
+		childKind:  childKind,
+		numEdges:   len(children),
+	}
+	for _, k := range childKind {
+		if k == RefEdge {
+			g.numRef++
+		}
+	}
+	// Counting c's in-degree at start[c+2] makes start[c+1] c's first
+	// parent slot after the prefix sum; the fill advances it to c's end,
+	// which is c+1's start, so start[:n+1] ends up as the parent offsets.
+	start := make([]int32, n+2)
+	for _, c := range children {
+		start[c+2]++
+	}
+	for i := 2; i < n+2; i++ {
+		start[i] += start[i-1]
+	}
+	g.parents = make([]NodeID, len(children))
+	for v := 0; v < n; v++ {
+		for _, c := range children[childStart[v]:childStart[v+1]] {
+			g.parents[start[c+1]] = NodeID(v)
+			start[c+1]++
+		}
+	}
+	g.parentStart = start[:n+1]
+	return g
+}
+
+// FromCSR builds a graph, keeping the slices, from a label table whose
+// entry l names LabelID l (no name twice), each node's label, and the child
+// CSR: children[childStart[v]:childStart[v+1]] are v's successors, with
+// childKind parallel. The caller checks that labels are in the table and
+// what Freeze checks of edges: in range, never into the root or v itself,
+// and here also strictly ascending.
+func FromCSR(labels []string, nodeLabel []LabelID, childStart []int32, children []NodeID, childKind []EdgeKind) (*Graph, error) {
+	if len(nodeLabel) == 0 {
+		return nil, errors.New("graph: empty graph")
+	}
+	labelIDs := make(map[string]LabelID, len(labels))
+	for l, name := range labels {
+		if _, dup := labelIDs[name]; dup {
+			return nil, fmt.Errorf("graph: duplicate label name %q", name)
+		}
+		labelIDs[name] = LabelID(l)
+	}
+	return newGraph(labels, labelIDs, nodeLabel, childStart, children, childKind), nil
 }
 
 // NumNodes returns the number of data nodes.

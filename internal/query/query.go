@@ -43,10 +43,16 @@ type DataIndex struct {
 	all     []graph.NodeID
 }
 
-// NewDataIndex builds the label buckets for g.
+// NewDataIndex builds the label buckets for g as windows of one node array.
 func NewDataIndex(g *graph.Graph) *DataIndex {
 	d := &DataIndex{g: g, byLabel: make([][]graph.NodeID, g.NumLabels())}
-	for v := 0; v < g.NumNodes(); v++ {
+	nodes := make([]graph.NodeID, g.NumNodes())
+	at := 0
+	for l, count := range g.LabelCounts() {
+		d.byLabel[l] = nodes[at : at : at+count]
+		at += count
+	}
+	for v := range nodes {
 		l := g.Label(graph.NodeID(v))
 		d.byLabel[l] = append(d.byLabel[l], graph.NodeID(v))
 	}

@@ -24,6 +24,8 @@ package shard
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"mrx/internal/graph"
@@ -163,22 +165,34 @@ func Partition(g *graph.Graph, n int) ([]*Shard, error) {
 		}
 	}
 	assigned[0], assigned[rootShard] = assigned[rootShard], assigned[0]
+	load[0], load[rootShard] = load[rootShard], load[0]
+
+	// Mark every node with its shard, then deal the nodes out in one
+	// ascending scan, so each member list comes out sorted.
+	owner := make([]int32, g.NumNodes())
+	members := make([][]graph.NodeID, n)
+	for s, cis := range assigned {
+		members[s] = make([]graph.NodeID, 0, load[s])
+		for _, ci := range cis {
+			for _, v := range comps[ci] {
+				owner[v] = int32(s)
+			}
+		}
+	}
+	for v, s := range owner {
+		members[s] = append(members[s], graph.NodeID(v))
+	}
 
 	out := make([]*Shard, 0, n)
-	for s, cis := range assigned {
-		if len(cis) == 0 {
+	for s, nodes := range members {
+		if len(nodes) == 0 {
 			continue // a hash bucket nothing landed in
 		}
-		var nodes []graph.NodeID
-		for _, ci := range cis {
-			nodes = append(nodes, comps[ci]...)
-		}
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a] < nodes[b] })
 		local, err := g.Induce(nodes)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		out = append(out, newShard(len(out), local, nodes, len(cis)))
+		out = append(out, newShard(len(out), local, nodes, len(assigned[s])))
 	}
 	return out, nil
 }
@@ -200,33 +214,29 @@ func newShard(id int, local *graph.Graph, toGlobal []graph.NodeID, components in
 	return sh
 }
 
-// signature hashes a component's length-one label paths (the multiset of
+// signature hashes a component's length-one label paths (the set of
 // distinct parent-label -> child-label edge pairs, plus its entry labels)
-// with FNV-1a. Structurally similar documents — same schema, different
-// content — collide deliberately, landing in the same shard.
+// with FNV-1a in ascending order. Structurally similar documents — same
+// schema, different content — collide deliberately, landing in the same
+// shard. Only distinct pairs are kept, so memory grows with the schema.
 func signature(g *graph.Graph, comp []graph.NodeID) uint64 {
-	pairs := make([]uint64, 0, len(comp))
+	set := make(map[uint64]struct{})
 	for _, v := range comp {
 		lv := uint64(g.Label(v))
 		if len(g.Parents(v)) == 0 {
-			pairs = append(pairs, lv) // entry label, no parent side
+			set[lv] = struct{}{} // entry label, no parent side
 		}
 		for _, c := range g.Children(v) {
-			pairs = append(pairs, (lv+1)<<32|uint64(g.Label(c)))
+			set[(lv+1)<<32|uint64(g.Label(c))] = struct{}{}
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a] < pairs[b] })
+	pairs := slices.Sorted(maps.Keys(set))
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	var prev uint64
-	for i, p := range pairs {
-		if i > 0 && p == prev {
-			continue // multiset -> set: content volume must not move documents
-		}
-		prev = p
+	for _, p := range pairs {
 		for b := 0; b < 8; b++ {
 			h ^= (p >> (8 * b)) & 0xff
 			h *= prime64

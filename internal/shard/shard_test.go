@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"testing"
 
 	"mrx/internal/core"
@@ -9,6 +10,7 @@ import (
 	"mrx/internal/gtest"
 	"mrx/internal/pathexpr"
 	"mrx/internal/query"
+	"mrx/internal/store"
 )
 
 func mustParse(t *testing.T, s string) *pathexpr.Expr {
@@ -303,5 +305,45 @@ func TestStateLifecycle(t *testing.T) {
 	}
 	if st.Retire(fup) {
 		t.Fatal("retiring an unsupported FUP published a snapshot")
+	}
+}
+
+// The cold-restart path — store.ReadGraph, then Partition and the Induce
+// it runs per shard — allocates O(labels + shards + log n), never once per
+// node: doubling the graph at a fixed component count may grow each step's
+// allocation count by at most half.
+func TestRestartPathAllocsScale(t *testing.T) {
+	if gtest.RaceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	allocs := func(nodes int) (read, part, induce float64) {
+		g := gtest.New(9, gtest.Options{Nodes: nodes, Labels: 8, RefProb: 0.1, Components: 6})
+		var buf bytes.Buffer
+		if err := store.WriteGraph(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		read = testing.AllocsPerRun(3, func() {
+			if _, err := store.ReadGraph(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		part = testing.AllocsPerRun(3, func() { mustPartition(t, g, 4) })
+		members := g.WeakComponents()[1]
+		induce = testing.AllocsPerRun(3, func() {
+			if _, err := g.Induce(members); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return read, part, induce
+	}
+	r1, p1, i1 := allocs(4000)
+	r2, p2, i2 := allocs(8000)
+	for _, step := range []struct {
+		name   string
+		n, n2x float64
+	}{{"ReadGraph", r1, r2}, {"Partition", p1, p2}, {"Induce", i1, i2}} {
+		if step.n2x > 1.5*step.n {
+			t.Errorf("%s: %.0f allocations at 4000 nodes, %.0f at 8000", step.name, step.n, step.n2x)
+		}
 	}
 }

@@ -19,9 +19,12 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"mrx/internal/core"
 	"mrx/internal/graph"
@@ -71,21 +74,6 @@ type reader struct {
 }
 
 func (rd *reader) uvarint() (uint64, error) { return binary.ReadUvarint(rd.r) }
-
-func (rd *reader) str() (string, error) {
-	n, err := rd.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxSaneString {
-		return "", fmt.Errorf("store: string of %d bytes exceeds sanity limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
 
 func expectMagic(rd *reader, magic string) error {
 	buf := make([]byte, len(magic))
@@ -141,75 +129,121 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 	return cw.w.Flush()
 }
 
-// ReadGraph deserializes a data graph. Errors name the corrupt section of
-// the file; no input, truncated or corrupted, makes it panic or allocate
-// beyond the sanity caps.
+// ReadGraph deserializes a data graph. LabelID l is entry l of the file's
+// label table, which must not name a label twice; unused entries are kept,
+// so a WriteGraph/ReadGraph round trip preserves every LabelID. Errors name
+// the corrupt section of the file; no input, truncated or corrupted, makes
+// it panic or allocate beyond the sanity caps and what its length can hold.
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	if err := expectMagic(rd, graphMagic); err != nil {
-		return nil, fmt.Errorf("store: graph magic: %w", err)
-	}
-	nLabels, err := rd.uvarint()
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("store: graph label count: %w", err)
+		return nil, fmt.Errorf("store: graph: %w", err)
 	}
-	if nLabels > maxSaneLabels {
-		return nil, fmt.Errorf("store: graph label count %d exceeds sanity limit", nLabels)
+	if !bytes.HasPrefix(data, []byte(graphMagic)) {
+		return nil, fmt.Errorf("store: graph magic: want %q", graphMagic)
+	}
+	off, truncated := len(graphMagic), false
+	// uvarint decodes the next varint. Once the input ends inside one or a
+	// value overflows, it sets truncated and returns 0 until a check sees it.
+	uvarint := func() uint64 {
+		x, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			truncated = true
+			return 0
+		}
+		off += n
+		return x
+	}
+	// A count is checked against the bytes left before it sizes anything:
+	// a label takes at least one byte, a node at least two.
+	nLabels := uvarint()
+	if truncated || nLabels > min(maxSaneLabels, uint64(len(data)-off)) {
+		return nil, fmt.Errorf("store: graph label count %d: truncated or beyond sanity limit", nLabels)
 	}
 	labels := make([]string, nLabels)
 	for i := range labels {
-		if labels[i], err = rd.str(); err != nil {
-			return nil, fmt.Errorf("store: graph label %d: %w", i, err)
+		n := uvarint()
+		if truncated || n > min(maxSaneString, uint64(len(data)-off)) {
+			return nil, fmt.Errorf("store: graph label %d: truncated or beyond sanity limit", i)
 		}
+		labels[i] = string(data[off : off+int(n)])
+		off += int(n)
 	}
-	nNodes, err := rd.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("store: graph node count: %w", err)
+	nNodes := uvarint()
+	if truncated || nNodes > min(maxSaneNodes, uint64(len(data)-off)/2) {
+		return nil, fmt.Errorf("store: graph node count %d: truncated or beyond sanity limit", nNodes)
 	}
-	if nNodes > maxSaneNodes {
-		return nil, fmt.Errorf("store: graph node count %d exceeds sanity limit", nNodes)
-	}
-	b := graph.NewBuilder()
-	for v := uint64(0); v < nNodes; v++ {
-		li, err := rd.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("store: graph node %d label: %w", v, err)
-		}
+	nodeLabel := make([]graph.LabelID, nNodes)
+	for v := range nodeLabel {
+		li := uvarint()
 		if li >= nLabels {
 			return nil, fmt.Errorf("store: node %d has label %d out of range", v, li)
 		}
-		b.AddNode(labels[li])
+		nodeLabel[v] = graph.LabelID(li)
 	}
-	for v := uint64(0); v < nNodes; v++ {
-		deg, err := rd.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("store: graph node %d out-degree: %w", v, err)
+	if truncated {
+		return nil, errors.New("store: graph node labels: truncated")
+	}
+	// Edges: per node, out-degree then (delta-coded child, kind) pairs. Each
+	// varint ends in the one byte of it below 0x80, so counting those sizes
+	// the edge arrays exactly for any file WriteGraph wrote.
+	varints := 0
+	for _, c := range data[off:] {
+		if c < 0x80 {
+			varints++
 		}
+	}
+	maxEdges := max(0, varints-int(nNodes)) / 2
+	childStart := make([]int32, nNodes+1)
+	children := make([]graph.NodeID, 0, maxEdges)
+	childKind := make([]graph.EdgeKind, 0, maxEdges)
+	for v := uint64(0); v < nNodes; v++ {
+		deg := uvarint()
 		if deg > nNodes {
 			return nil, fmt.Errorf("store: node %d has degree %d out of range", v, deg)
 		}
+		first, ascending := len(children), true
 		prev := int64(0)
 		for i := uint64(0); i < deg; i++ {
-			delta, err := rd.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("store: graph node %d edges: %w", v, err)
-			}
-			child := prev + int64(delta)
+			// Computed, truncated and checked as the Builder-based reader did.
+			child := prev + int64(uvarint())
 			prev = child
-			if child >= int64(nNodes) {
-				return nil, fmt.Errorf("store: node %d has edge to %d, beyond %d nodes", v, child, nNodes)
+			to, kind := graph.NodeID(child), uvarint()
+			if child >= int64(nNodes) || to <= 0 || int64(to) >= int64(nNodes) || to == graph.NodeID(v) || kind > uint64(graph.RefEdge) {
+				return nil, fmt.Errorf("store: node %d has edge to %d of kind %d: out of range, into the root or a self-loop", v, child, kind)
 			}
-			kind, err := rd.uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("store: graph node %d edges: %w", v, err)
-			}
-			if kind > uint64(graph.RefEdge) {
-				return nil, fmt.Errorf("store: bad edge kind %d", kind)
-			}
-			b.AddEdge(graph.NodeID(v), graph.NodeID(child), graph.EdgeKind(kind))
+			ascending = ascending && (len(children) == first || to > children[len(children)-1])
+			children = append(children, to)
+			childKind = append(childKind, graph.EdgeKind(kind))
+		}
+		if truncated {
+			return nil, fmt.Errorf("store: graph node %d edges: truncated", v)
+		}
+		if !ascending {
+			children, childKind = normalizeEdges(children, childKind, first)
+		}
+		childStart[v+1] = int32(len(children))
+	}
+	return graph.FromCSR(labels, nodeLabel, childStart, children, childKind)
+}
+
+// normalizeEdges does to the edges appended since first what Builder.Freeze
+// does to an edge list: sort by (child, kind), keep the first per child.
+// WriteGraph writes child lists strictly ascending, so they never need it.
+func normalizeEdges(children []graph.NodeID, kinds []graph.EdgeKind, first int) ([]graph.NodeID, []graph.EdgeKind) {
+	keys := make([]int64, 0, len(children)-first)
+	for i := first; i < len(children); i++ {
+		keys = append(keys, int64(children[i])<<1|int64(kinds[i]))
+	}
+	slices.Sort(keys)
+	children, kinds = children[:first], kinds[:first]
+	for i, k := range keys {
+		if i == 0 || k>>1 != keys[i-1]>>1 {
+			children = append(children, graph.NodeID(k>>1))
+			kinds = append(kinds, graph.EdgeKind(k&1))
 		}
 	}
-	return b.Freeze()
+	return children, kinds
 }
 
 // writeIndexBody serializes the live nodes of an index graph (extents and

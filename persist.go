@@ -11,7 +11,8 @@ import (
 // package store.
 func WriteGraph(w io.Writer, g *Graph) error { return store.WriteGraph(w, g) }
 
-// ReadGraph deserializes a data graph.
+// ReadGraph deserializes a data graph. A graph WriteGraph wrote comes back
+// with the same LabelIDs, including labels no node uses.
 func ReadGraph(r io.Reader) (*Graph, error) { return store.ReadGraph(r) }
 
 // WriteIndex serializes a single structural index (1-index, A(k), D(k) or
