@@ -106,9 +106,6 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/pathexpr/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreGraph -fuzztime=$(FUZZTIME) ./internal/store/
-	$(GO) test -run='^$$' -fuzz=FuzzStoreIndex -fuzztime=$(FUZZTIME) ./internal/store/
-	$(GO) test -run='^$$' -fuzz=FuzzStoreMStar -fuzztime=$(FUZZTIME) ./internal/store/
-	$(GO) test -run='^$$' -fuzz=FuzzStoreFrozen -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzDifferential -fuzztime=$(FUZZTIME) ./internal/difftest/
 	$(GO) test -run='^$$' -fuzz=FuzzDirectives -fuzztime=$(FUZZTIME) ./internal/analysis/
 	$(GO) test -run='^$$' -fuzz=FuzzFrozenArrays -fuzztime=$(FUZZTIME) ./internal/index/

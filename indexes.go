@@ -106,13 +106,6 @@ type FrozenID = index.FrozenID
 // MStar.Freeze (or FreezeReusing for incremental re-freezing).
 type FrozenMStar = core.FrozenMStar
 
-// QueryFrozen evaluates e over a frozen index snapshot with EvalIndex
-// semantics, map-free.
-func QueryFrozen(fz *FrozenIndex, e *PathExpr) Result { return query.EvalFrozen(fz, e) }
-
-// AsFrozenQuerier wraps a frozen index snapshot as a Querier.
-func AsFrozenQuerier(fz *FrozenIndex) Querier { return query.AsFrozenQuerier(fz) }
-
 // Querier is the uniform query interface implemented by every index in the
 // package: single-graph indexes via AsQuerier, the adaptive indexes
 // (DKPromote, MK, MStar, UD) directly, and the concurrent Engine.

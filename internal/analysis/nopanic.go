@@ -8,11 +8,11 @@ import (
 // NoPanic returns the analyzer forbidding panic in library code.
 //
 // Library code must return errors for anything an input can trigger; the
-// difftest fuzzers exist precisely because index.FromExtents and the store
-// readers once panicked on corrupt bytes. Panics that guard internal
-// invariants (states unreachable from any input, e.g. "index: split of dead
-// node") stay, annotated with //mrlint:allow nopanic <reason>. Commands
-// (package main) and test files are exempt.
+// fuzzers exist precisely because the index and graph loaders once panicked
+// on corrupt bytes. Panics that guard internal invariants (states
+// unreachable from any input, e.g. "index: split of dead node") stay,
+// annotated with //mrlint:allow nopanic <reason>. Commands (package main)
+// and test files are exempt.
 func NoPanic() *Analyzer {
 	return &Analyzer{
 		Name: "nopanic",

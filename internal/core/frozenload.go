@@ -8,14 +8,14 @@ import (
 	"mrx/internal/index"
 )
 
-// FrozenMStarFromComponents reassembles a frozen M*(k) view from pre-built
+// AssembleFrozenMStar reassembles a frozen M*(k) view from pre-built
 // component snapshots — the zero-copy load path: package mmapstore wires
 // each component directly over a mapped file and binds them here. The
 // components must share the data graph; VerifyNesting (cheap, O(total
 // extent size)) checks the multiresolution structure that relates them.
 // Per-component structural invariants are index.Frozen.Verify's job —
 // loaders of untrusted bytes run both, trusted reopens run neither.
-func FrozenMStarFromComponents(g *graph.Graph, comps []*index.Frozen, opts MStarOptions) (*FrozenMStar, error) {
+func AssembleFrozenMStar(g *graph.Graph, comps []*index.Frozen, opts MStarOptions) (*FrozenMStar, error) {
 	if len(comps) == 0 {
 		return nil, errors.New("mstar: no frozen components")
 	}

@@ -29,9 +29,7 @@ type MStar struct {
 	opts  MStarOptions
 	// fups records every FUP the index has been refined for, keyed by
 	// canonical form. Retire rebuilds from this registry; Clone copies it
-	// (expressions are immutable and shared). Indexes loaded from a store
-	// have an empty registry — their refinement history is not persisted —
-	// so Retire is a no-op on them.
+	// (expressions are immutable and shared).
 	fups map[string]*pathexpr.Expr
 }
 

@@ -56,43 +56,60 @@ func TestMStarValidatorCatchesViolations(t *testing.T) {
 		t.Errorf("P4/P5 violation not caught: %v", err)
 	}
 
+	// Components out of order: I2 first exceeds I0's resolution and does
+	// not nest into the I0 after it.
+	ms = build()
+	bad := []*index.Graph{ms.Component(2).Clone(), ms.Component(0).Clone()}
+	if err := (&MStar{data: g, comps: bad}).Validate(false); err == nil || !strings.Contains(err.Error(), "P2") {
+		t.Errorf("out-of-order components not caught: %v", err)
+	}
+
 	// A valid index still validates.
 	if err := build().Validate(true); err != nil {
 		t.Errorf("valid index rejected: %v", err)
 	}
 }
 
+// Reassembling an M*(k) from loaded components rejects an empty list, a
+// component over a foreign data graph and non-nested components, and
+// round-trips a legitimate component list.
 func TestMStarFromComponentsErrors(t *testing.T) {
 	g := graph.PaperFigure7()
 	ms := NewMStar(g)
 	ms.Support(mustParse("//b/a/c"))
+	fm := ms.Freeze()
 
-	if _, err := MStarFromComponents(g, nil); err == nil {
+	if _, err := AssembleFrozenMStar(g, nil, MStarOptions{}); err == nil {
 		t.Error("empty component list accepted")
 	}
 
-	other := graph.PaperFigure1()
-	otherMS := NewMStar(other)
-	if _, err := MStarFromComponents(g, []*index.Graph{otherMS.Component(0)}); err == nil {
+	other := NewMStar(graph.PaperFigure1()).Freeze()
+	if _, err := AssembleFrozenMStar(g, []*index.Frozen{other.Component(0)}, MStarOptions{}); err == nil {
 		t.Error("component over different graph accepted")
 	}
 
-	// Components out of order violate the refinement property.
-	bad := []*index.Graph{ms.Component(2).Clone(), ms.Component(0).Clone()}
-	if _, err := MStarFromComponents(g, bad); err == nil {
+	// Components out of order violate the refinement nesting.
+	bad, err := AssembleFrozenMStar(g, []*index.Frozen{fm.Component(2), fm.Component(0)}, MStarOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.VerifyNesting(); err == nil {
 		t.Error("non-nested components accepted")
 	}
 
 	// The legitimate component list round-trips.
-	comps := make([]*index.Graph, ms.NumComponents())
+	comps := make([]*index.Frozen, fm.NumComponents())
 	for i := range comps {
-		comps[i] = ms.Component(i).Clone()
+		comps[i] = fm.Component(i)
 	}
-	got, err := MStarFromComponents(g, comps)
+	got, err := AssembleFrozenMStar(g, comps, MStarOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Sizes() != ms.Sizes() {
-		t.Error("rebuilt index sizes differ")
+	if err := got.VerifyNesting(); err != nil {
+		t.Errorf("nested components rejected: %v", err)
+	}
+	if err := got.CheckAgainst(ms); err != nil {
+		t.Errorf("reassembled index differs: %v", err)
 	}
 }

@@ -49,8 +49,7 @@ func (ms *MStar) SupportedFUPs() []*pathexpr.Expr {
 // constructs a fresh M*(k)-index over the same data graph and options and
 // re-supports every other registered FUP, so the affected components are
 // recomputed without the retired expression. It returns the rebuilt index
-// and true, or (nil, false) when e is not in the registry (including any
-// index loaded from a store, whose refinement history is not persisted).
+// and true, or (nil, false) when e is not in the registry.
 // The receiver is never mutated — callers publishing snapshots swap in the
 // returned index.
 //

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -51,63 +50,6 @@ func TestCloneIndependentEvolution(t *testing.T) {
 	orig.Split(big2, [][]graph.NodeID{append([]graph.NodeID(nil), ext2[:1]...), append([]graph.NodeID(nil), ext2[1:]...)}, []int{0, 0})
 	if clone.NumNodes() != nClone {
 		t.Fatal("original split leaked into clone")
-	}
-}
-
-func TestFromExtentsRoundTrip(t *testing.T) {
-	g := gtest.Random(8, 120, 4, 0.25)
-	p := partition.KBisim(g, 2)
-	orig := FromPartition(g, p, func(partition.BlockID) int { return 2 })
-	var extents [][]graph.NodeID
-	var ks []int
-	orig.ForEachNode(func(n *Node) {
-		extents = append(extents, n.Extent())
-		ks = append(ks, n.K())
-	})
-	got, err := FromExtents(g, extents, ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(true); err != nil {
-		t.Fatal(err)
-	}
-	if got.NumNodes() != orig.NumNodes() || got.NumEdges() != orig.NumEdges() {
-		t.Fatal("sizes differ after extent round trip")
-	}
-	// Per-data-node membership is preserved.
-	for v := 0; v < g.NumNodes(); v++ {
-		a := orig.NodeOf(graph.NodeID(v)).Extent()
-		b := got.NodeOf(graph.NodeID(v)).Extent()
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("node %d in different extents: %v vs %v", v, a, b)
-		}
-	}
-}
-
-func TestFromExtentsErrors(t *testing.T) {
-	g := graph.PaperFigure4() // labels r a b b c c
-	cases := []struct {
-		name    string
-		extents [][]graph.NodeID
-		ks      []int
-	}{
-		{"length mismatch", [][]graph.NodeID{{0}}, []int{0, 0}},
-		{"empty extent", [][]graph.NodeID{{0}, {}, {1}, {2, 3}, {4, 5}}, []int{0, 0, 0, 0, 0}},
-		{"negative k", [][]graph.NodeID{{0}, {1}, {2, 3}, {4, 5}}, []int{0, -1, 0, 0}},
-		{"duplicate member", [][]graph.NodeID{{0}, {1}, {2, 3, 3}, {4, 5}}, []int{0, 0, 0, 0}},
-		{"overlap", [][]graph.NodeID{{0}, {1}, {2, 3}, {3, 4, 5}}, []int{0, 0, 0, 0}},
-		{"missing member", [][]graph.NodeID{{0}, {1}, {2, 3}, {4}}, []int{0, 0, 0, 0}},
-		{"mixed labels", [][]graph.NodeID{{0}, {1, 2}, {3}, {4, 5}}, []int{0, 0, 0, 0}},
-		{"out of range", [][]graph.NodeID{{0}, {1}, {2, 3}, {4, 99}}, []int{0, 0, 0, 0}},
-	}
-	for _, c := range cases {
-		if _, err := FromExtents(g, c.extents, c.ks); err == nil {
-			t.Errorf("%s: no error", c.name)
-		}
-	}
-	// The valid partition works.
-	if _, err := FromExtents(g, [][]graph.NodeID{{0}, {1}, {2, 3}, {4, 5}}, []int{0, 0, 0, 0}); err != nil {
-		t.Errorf("valid extents rejected: %v", err)
 	}
 }
 

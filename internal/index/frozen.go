@@ -321,129 +321,14 @@ func (fz *Frozen) Thaw() *Graph {
 	return ig
 }
 
-// FrozenFromExtents builds a Frozen directly from explicit extents and local
-// similarities, validating exactly what FromExtents validates (disjoint
-// label-homogeneous cover) but wiring the CSR adjacency with flat arrays
-// instead of per-node maps. This is the persistence fast path: loading a
-// snapshot skips the mutable graph entirely. Structural invariants that
-// depend only on shape (P2) hold by construction; semantic ones (P1, P3)
-// can be checked afterwards (the store loader checks P3 over the CSR).
-func FrozenFromExtents(data *graph.Graph, extents [][]graph.NodeID, ks []int) (*Frozen, error) {
-	if len(extents) != len(ks) {
-		return nil, fmt.Errorf("index: %d extents but %d k values", len(extents), len(ks))
-	}
-	n := len(extents)
-	fz := &Frozen{
-		data:    data,
-		retired: make([]NodeID, n),
-		ks:      make([]int32, n),
-		labels:  make([]graph.LabelID, n),
-		nodeOf:  make([]FrozenID, data.NumNodes()),
-	}
-	for i := range fz.nodeOf {
-		fz.nodeOf[i] = -1
-	}
-	fz.extentStart = make([]int32, n+1)
-	arena := 0
-	checked := make([][]graph.NodeID, n)
-	for bi, extent := range extents {
-		extent, err := checkExtent(data, bi, extent, ks[bi])
-		if err != nil {
-			return nil, err
-		}
-		for _, o := range extent {
-			if fz.nodeOf[o] != -1 {
-				return nil, fmt.Errorf("index: data node %d in two extents", o)
-			}
-			fz.nodeOf[o] = FrozenID(bi)
-		}
-		checked[bi] = extent
-		fz.retired[bi] = NodeID(bi)
-		fz.ks[bi] = int32(ks[bi])
-		fz.labels[bi] = data.Label(extent[0])
-		arena += len(extent)
-	}
-	for v := 0; v < data.NumNodes(); v++ {
-		if fz.nodeOf[v] == -1 {
-			return nil, fmt.Errorf("index: data node %d not covered by any extent", v)
-		}
-	}
-	fz.extentArena = make([]graph.NodeID, 0, arena)
-	for bi, extent := range checked {
-		fz.extentStart[bi] = int32(len(fz.extentArena))
-		fz.extentArena = append(fz.extentArena, extent...)
-	}
-	fz.extentStart[n] = int32(len(fz.extentArena))
-	fz.wireCSRFromData()
-	fz.buildLabelRanges(data.NumLabels())
-	return fz, nil
-}
-
-// CheckP3 verifies the parent-similarity invariant P3 — every index edge
-// u→v satisfies k(u) ≥ k(v) − 1 — over the CSR adjacency. Similarities are
-// data, not derivable from shape, so loaders of the frozen fast path call
-// this to reject corrupted k values without materializing a mutable graph.
-func (fz *Frozen) CheckP3() error {
-	for u := 0; u < fz.NumNodes(); u++ {
-		for _, c := range fz.Children(FrozenID(u)) {
-			if fz.ks[u] < fz.ks[c]-1 {
-				return p3Error(FrozenID(u), c, fz.ks)
-			}
-		}
-	}
-	return nil
-}
-
 func p3Error(u, c FrozenID, ks []int32) error {
 	return fmt.Errorf("index: P3 violated: edge %d->%d has k(parent)=%d < k(child)-1=%d", u, c, ks[u], ks[c]-1)
 }
 
-// wireCSRFromData rebuilds the child and parent CSR adjacency per P2 from
-// the data graph, using only flat arrays: per-node child sets are gathered
-// already deduplicated and sorted in place, and the parent CSR is derived
-// from the child CSR by counting. nodeOf and extentStart/extentArena must be
-// final.
-func (fz *Frozen) wireCSRFromData() {
-	n := fz.NumNodes()
-	fz.childStart = make([]int32, n+1)
-	fz.children = fz.children[:0]
-	stamp := make([]int32, n)
-	for u := 0; u < n; u++ {
-		fz.childStart[u] = int32(len(fz.children))
-		fz.children = fz.appendInducedChildren(fz.children, FrozenID(u), stamp)
-		slices.Sort(fz.children[fz.childStart[u]:])
-	}
-	fz.childStart[n] = int32(len(fz.children))
-	fz.parentStart, fz.parents = transposeCSR(fz.childStart, fz.children)
-}
-
-// transposeCSR derives the parent CSR of a well-formed child CSR by
-// counting: each parent list comes out in ascending order.
-func transposeCSR(childStart []int32, children []FrozenID) (parentStart []int32, parents []FrozenID) {
-	n := len(childStart) - 1
-	parentStart = make([]int32, n+1)
-	for _, c := range children {
-		parentStart[c+1]++
-	}
-	for i := 0; i < n; i++ {
-		parentStart[i+1] += parentStart[i]
-	}
-	parents = make([]FrozenID, len(children))
-	fill := slices.Clone(parentStart[:n])
-	for u := 0; u < n; u++ {
-		for _, c := range children[childStart[u]:childStart[u+1]] {
-			parents[fill[c]] = FrozenID(u)
-			fill[c]++
-		}
-	}
-	return parentStart, parents
-}
-
 // appendInducedChildren appends to dst the child set P2 induces for u — the
 // distinct owners of the data children of u's extent — in first-seen order.
-// It is the one derivation of index edges from the data graph, shared by the
-// writer (wireCSRFromData sorts the result) and the checker (verifyCSR
-// compares it as a set). stamp has one entry per index node and is left
+// verifyCSR compares it as a set with the stored child list. stamp has one
+// entry per index node and is left
 // holding u+1 exactly at the appended nodes; pass it zeroed to the first
 // call and unchanged to calls for other nodes.
 func (fz *Frozen) appendInducedChildren(dst []FrozenID, u FrozenID, stamp []int32) []FrozenID {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,56 +117,6 @@ func TestThawRoundTrip(t *testing.T) {
 	}
 }
 
-// FrozenFromExtents (the persistence fast path, flat-array CSR wiring) must
-// produce exactly what freezing the equivalent mutable graph produces.
-func TestFrozenFromExtentsEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		g := gtest.Random(seed, 100, 6, 0.3)
-		ig := FromPartition(g, partition.KBisim(g, 3), func(partition.BlockID) int { return 3 })
-		fz := freezeChecked(t, ig)
-
-		var extents [][]graph.NodeID
-		var ks []int
-		ig.ForEachNode(func(n *Node) {
-			extents = append(extents, n.Extent())
-			ks = append(ks, n.K())
-		})
-		fast, err := FrozenFromExtents(g, extents, ks)
-		if err != nil {
-			t.Fatalf("seed %d: FrozenFromExtents: %v", seed, err)
-		}
-		if err := fast.CheckP3(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-
-		if fast.NumNodes() != fz.NumNodes() || fast.NumEdges() != fz.NumEdges() {
-			t.Fatalf("seed %d: fast %d/%d, freeze %d/%d", seed,
-				fast.NumNodes(), fast.NumEdges(), fz.NumNodes(), fz.NumEdges())
-		}
-		for v := 0; v < fz.NumNodes(); v++ {
-			id := FrozenID(v)
-			if fast.K(id) != fz.K(id) || fast.Label(id) != fz.Label(id) {
-				t.Fatalf("seed %d node %d: k/label diverge", seed, v)
-			}
-			if !equalNodeIDs(fast.Extent(id), fz.Extent(id)) {
-				t.Fatalf("seed %d node %d: extents diverge", seed, v)
-			}
-			if !equalFrozenIDs(fast.Children(id), fz.Children(id)) {
-				t.Fatalf("seed %d node %d: children diverge: %v vs %v",
-					seed, v, fast.Children(id), fz.Children(id))
-			}
-			if !equalFrozenIDs(fast.Parents(id), fz.Parents(id)) {
-				t.Fatalf("seed %d node %d: parents diverge", seed, v)
-			}
-		}
-		for l := 0; l < g.NumLabels(); l++ {
-			if !equalFrozenIDs(fast.NodesWithLabel(graph.LabelID(l)), fz.NodesWithLabel(graph.LabelID(l))) {
-				t.Fatalf("seed %d label %d: buckets diverge", seed, l)
-			}
-		}
-	}
-}
-
 func equalFrozenIDs(a, b []FrozenID) bool {
 	if len(a) != len(b) {
 		return false
@@ -178,46 +129,17 @@ func equalFrozenIDs(a, b []FrozenID) bool {
 	return true
 }
 
-func TestFrozenFromExtentsRejects(t *testing.T) {
-	g := graph.PaperFigure1()
-	ig := a0(g)
-	var extents [][]graph.NodeID
-	var ks []int
-	ig.ForEachNode(func(n *Node) {
-		extents = append(extents, n.Extent())
-		ks = append(ks, n.K())
-	})
-
-	if _, err := FrozenFromExtents(g, extents, ks[:len(ks)-1]); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := FrozenFromExtents(g, extents[:len(extents)-1], ks[:len(ks)-1]); err == nil {
-		t.Error("non-covering extents accepted")
-	}
-	dup := append(append([][]graph.NodeID(nil), extents...), extents[0])
-	if _, err := FrozenFromExtents(g, dup, append(append([]int(nil), ks...), 0)); err == nil {
-		t.Error("overlapping extents accepted")
-	}
-}
-
 func TestCheckP3(t *testing.T) {
 	g := graph.PaperFigure1()
 	ig := a0(g)
-	var extents [][]graph.NodeID
-	var ks []int
-	ig.ForEachNode(func(n *Node) {
-		extents = append(extents, n.Extent())
-		ks = append(ks, 0)
-	})
+	a := freezeChecked(t, ig).Arrays()
 	// Raise one non-root node's k to 5: its parent keeps k=0 < 5-1.
-	root := ig.Root()
-	for i, ext := range extents {
-		if ext[0] != root.Extent()[0] {
-			ks[i] = 5
-			break
-		}
+	a.Ks = slices.Clone(a.Ks)
+	a.Ks[len(a.Ks)-1] = 5
+	if a.ExtentArena[a.ExtentStart[len(a.Ks)-1]] == ig.Root().Extent()[0] {
+		t.Fatal("the last frozen node is the root")
 	}
-	fz, err := FrozenFromExtents(g, extents, ks)
+	fz, err := FrozenFromArrays(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,3 +191,25 @@ func FuzzFrozenArrays(f *testing.F) {
 		checkVerifyAgrees(t, seed, nodes, k, ops)
 	})
 }
+
+// transposeCSR derives the parent CSR of a well-formed child CSR by
+// counting: each parent list comes out in ascending order.
+func transposeCSR(childStart []int32, children []FrozenID) (parentStart []int32, parents []FrozenID) {
+	n := len(childStart) - 1
+	parentStart = make([]int32, n+1)
+	for _, c := range children {
+		parentStart[c+1]++
+	}
+	for i := 0; i < n; i++ {
+		parentStart[i+1] += parentStart[i]
+	}
+	parents = make([]FrozenID, len(children))
+	fill := slices.Clone(parentStart[:n])
+	for u := 0; u < n; u++ {
+		for _, c := range children[childStart[u]:childStart[u+1]] {
+			parents[fill[c]] = FrozenID(u)
+			fill[c]++
+		}
+	}
+	return parentStart, parents
+}

@@ -182,3 +182,18 @@ func sortDedupFrozenIDsSlow(ids []FrozenID) []FrozenID {
 	}
 	return ids[:w]
 }
+
+// CheckP3 verifies the parent-similarity invariant P3 — every index edge
+// u→v satisfies k(u) ≥ k(v) − 1 — over the CSR adjacency. It is the P3 step
+// of the reference verifier; the production Verify checks P3 in its own
+// pass over the CSR.
+func (fz *Frozen) CheckP3() error {
+	for u := 0; u < fz.NumNodes(); u++ {
+		for _, c := range fz.Children(FrozenID(u)) {
+			if fz.ks[u] < fz.ks[c]-1 {
+				return p3Error(FrozenID(u), c, fz.ks)
+			}
+		}
+	}
+	return nil
+}

@@ -12,23 +12,21 @@ import (
 	"mrx/internal/graph"
 	"mrx/internal/gtest"
 	"mrx/internal/pathexpr"
-	"mrx/internal/store"
 )
 
 // benchSizes spans two orders of magnitude so the cold-start sweep can show
-// mmap open time staying flat while heap deserialization grows with the
-// index: the whole point of the disk-resident format.
+// the trusted open staying flat while the verified one grows with the
+// index.
 var benchSizes = []int{1_000, 10_000, 100_000}
 
 // benchIndex is one prepared measurement subject: a refined frozen index
-// over a graph of a given size, plus both serializations (the mmap snapshot
-// and the store heap encoding) and a supportable query workload.
+// over a graph of a given size, plus its snapshot encoding and a
+// supportable query workload.
 type benchIndex struct {
 	g     *graph.Graph
 	fm    *core.FrozenMStar
 	exprs []*pathexpr.Expr
 	snap  []byte // mmapstore encoding
-	heap  []byte // store.WriteMStar encoding (heap cold-start baseline)
 }
 
 // benchCache shares the expensive index builds across benchmarks in one
@@ -36,7 +34,7 @@ type benchIndex struct {
 var benchCache = map[string]*benchIndex{}
 
 // benchBuild refines M*(k) over g for the supportable part of workload and
-// serializes it both ways, once per key.
+// encodes it, once per key.
 func benchBuild(b *testing.B, key string, g func() *graph.Graph, workload func(*graph.Graph) []string) *benchIndex {
 	b.Helper()
 	if bi, ok := benchCache[key]; ok {
@@ -60,11 +58,7 @@ func benchBuild(b *testing.B, key string, g func() *graph.Graph, workload func(*
 	if err := Write(&snap, bi.fm, WriteOptions{}); err != nil {
 		b.Fatal(err)
 	}
-	var heap bytes.Buffer
-	if err := store.WriteMStar(&heap, ms); err != nil {
-		b.Fatal(err)
-	}
-	bi.snap, bi.heap = snap.Bytes(), heap.Bytes()
+	bi.snap = snap.Bytes()
 	benchCache[key] = bi
 	return bi
 }
@@ -113,10 +107,8 @@ func benchSnapFile(b *testing.B, bi *benchIndex) string {
 }
 
 // BenchmarkColdStart measures time-to-first-query across index sizes for
-// the three ways of resurrecting a frozen index from bytes:
+// the two ways of opening a snapshot file:
 //
-//   - heap: store.ReadMStar + Freeze — every array deserialized and
-//     reallocated, so cost grows linearly with the index.
 //   - mmap-verified: Open with full checksum + deep structural verification
 //     — linear in index plus data-graph size too (one pass per component,
 //     components in parallel), streaming over mapped bytes with no
@@ -139,16 +131,6 @@ func BenchmarkColdStart(b *testing.B) {
 	for _, sub := range subjects {
 		n, bi := sub.name, sub.bi
 		path := benchSnapFile(b, bi)
-		b.Run(n+"/heap", func(b *testing.B) {
-			b.SetBytes(int64(len(bi.heap)))
-			for i := 0; i < b.N; i++ {
-				ms, err := store.ReadMStar(bytes.NewReader(bi.heap), bi.g)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = ms.Freeze()
-			}
-		})
 		b.Run(n+"/mmap-verified", func(b *testing.B) {
 			b.SetBytes(int64(len(bi.snap)))
 			for i := 0; i < b.N; i++ {

@@ -97,7 +97,7 @@ func parse(data []byte, g *graph.Graph, o Options) (*core.FrozenMStar, error) {
 	} else if err := lowestError(len(comps), component); err != nil {
 		return nil, err
 	}
-	fm, err := core.FrozenMStarFromComponents(g, comps, o.MStar)
+	fm, err := core.AssembleFrozenMStar(g, comps, o.MStar)
 	if err != nil {
 		return nil, fmt.Errorf("mmapstore: %w", err)
 	}

@@ -29,22 +29,6 @@ func (sc *Scratch) EvalFrozen(fz *index.Frozen, e *pathexpr.Expr, opt ValidateOp
 	return res
 }
 
-// FrozenQuerier adapts a frozen index snapshot to the Querier interface,
-// with EvalFrozen semantics (sequential validation, the paper's cost
-// accounting).
-type FrozenQuerier struct {
-	fz *index.Frozen
-}
-
-// AsFrozenQuerier wraps a frozen index snapshot as a Querier.
-func AsFrozenQuerier(fz *index.Frozen) FrozenQuerier { return FrozenQuerier{fz: fz} }
-
-// Frozen returns the wrapped snapshot.
-func (q FrozenQuerier) Frozen() *index.Frozen { return q.fz }
-
-// Query evaluates e over the wrapped snapshot.
-func (q FrozenQuerier) Query(e *pathexpr.Expr) Result { return EvalFrozen(q.fz, e) }
-
 // CollectAnswersFrozen is CollectAnswers over frozen targets: extents of
 // nodes with sufficient local similarity pass through unvalidated, the rest
 // are validated against the data graph per opt. Both variants share the

@@ -6,14 +6,11 @@ import (
 	"strings"
 	"testing"
 
-	"mrx/internal/baseline"
-	"mrx/internal/core"
 	"mrx/internal/graph"
 	"mrx/internal/gtest"
 )
 
-// fuzzGraph is the fixed data graph the index/M*(k) fuzz targets read
-// against; deserializing an index requires its data graph.
+// fuzzGraph is the data graph whose encoding seeds FuzzStoreGraph.
 func fuzzGraph() *graph.Graph { return gtest.Random(4, 40, 3, 0.2) }
 
 func seedBytes(tb testing.TB, write func(*bytes.Buffer) error) []byte {
@@ -74,64 +71,6 @@ func FuzzStoreGraph(f *testing.F) {
 		}
 		if err := sameStructure(g2, g); err != nil || !sameLabelIDs(g2, g) {
 			t.Fatalf("round trip changed the graph: %v", err)
-		}
-	})
-}
-
-// FuzzStoreIndex feeds arbitrary bytes to the single-index reader over a
-// fixed data graph: error or a structurally valid index, never a panic.
-func FuzzStoreIndex(f *testing.F) {
-	g := fuzzGraph()
-	f.Add(seedBytes(f, func(b *bytes.Buffer) error { return WriteIndex(b, baseline.AK(g, 1)) }))
-	f.Add(seedBytes(f, func(b *bytes.Buffer) error {
-		one, _ := baseline.OneIndex(g)
-		return WriteIndex(b, one)
-	}))
-	f.Add([]byte(indexMagic))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ig, err := ReadIndex(bytes.NewReader(data), g)
-		if err != nil {
-			return
-		}
-		// Structural invariants (partition, adjacency, counters) must hold
-		// for anything the reader accepts; P1 (bisimilarity of extents) is
-		// deliberately not promised — k values are data, not derivable.
-		if err := ig.Validate(false); err != nil {
-			t.Fatalf("accepted index violates invariants: %v", err)
-		}
-	})
-}
-
-// FuzzStoreMStar feeds arbitrary bytes to the selective M*(k) reader:
-// error or a hierarchy passing the M*(k) structural invariants (nested
-// partitions, bounded similarities), never a panic or over-allocation.
-func FuzzStoreMStar(f *testing.F) {
-	g := fuzzGraph()
-	valid := seedBytes(f, func(b *bytes.Buffer) error {
-		ms := core.NewMStar(g)
-		ms.Support(mustParse("//l0/l1"))
-		ms.Support(mustParse("//l1/l2/l0"))
-		return WriteMStar(b, ms)
-	})
-	f.Add(valid)
-	f.Add(valid[:len(valid)*2/3])
-	f.Add([]byte(mstarMagic))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		mr, err := OpenMStar(bytes.NewReader(data), g)
-		if err != nil {
-			return
-		}
-		// Load one component first, then the rest: the incremental path and
-		// the full path must both be panic-free.
-		if _, err := mr.LoadUpTo(0); err != nil {
-			return
-		}
-		ms, err := mr.LoadUpTo(mr.NumComponents() - 1)
-		if err != nil {
-			return
-		}
-		if err := ms.Validate(false); err != nil {
-			t.Fatalf("accepted M*(k) hierarchy violates invariants: %v", err)
 		}
 	})
 }

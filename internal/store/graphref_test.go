@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -80,6 +81,23 @@ func refReadGraph(r io.Reader) (*graph.Graph, error) {
 		}
 	}
 	return b.Freeze()
+}
+
+type reader struct {
+	r *bufio.Reader
+}
+
+func (rd *reader) uvarint() (uint64, error) { return binary.ReadUvarint(rd.r) }
+
+func expectMagic(rd *reader, magic string) error {
+	buf := make([]byte, len(magic))
+	if _, err := io.ReadFull(rd.r, buf); err != nil {
+		return err
+	}
+	if string(buf) != magic {
+		return fmt.Errorf("store: bad magic %q, want %q", buf, magic)
+	}
+	return nil
 }
 
 // str reads a length-prefixed string; only refReadGraph reads strings.

@@ -2,17 +2,7 @@ package store
 
 import (
 	"mrx/internal/graph"
-	"mrx/internal/pathexpr"
 )
-
-// mustParse parses a fixed test query literal.
-func mustParse(s string) *pathexpr.Expr {
-	e, err := pathexpr.Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
 
 // mustFreeze freezes a builder whose contents the test controls.
 func mustFreeze(b *graph.Builder) *graph.Graph {

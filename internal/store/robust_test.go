@@ -7,60 +7,34 @@ import (
 	"math/rand"
 	"testing"
 
-	"mrx/internal/baseline"
-	"mrx/internal/core"
 	"mrx/internal/gtest"
 )
 
-// Every strict prefix of a serialized artifact must fail to load with an
+// Every strict prefix of a serialized graph must fail to load with an
 // error, never a panic.
 func TestTruncatedInputsError(t *testing.T) {
 	g := gtest.Random(6, 80, 4, 0.2)
-	ig := baseline.AK(g, 1)
-	ms := core.NewMStar(g)
-	ms.Support(mustParse("//l0/l1"))
-
-	var gb, ib, mb bytes.Buffer
+	var gb bytes.Buffer
 	if err := WriteGraph(&gb, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteIndex(&ib, ig); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMStar(&mb, ms); err != nil {
-		t.Fatal(err)
-	}
-
-	try := func(name string, data []byte, load func([]byte) error) {
-		step := len(data)/120 + 1
-		for cut := 0; cut < len(data); cut += step {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("%s: panic at cut %d: %v", name, cut, r)
-					}
-				}()
-				if err := load(data[:cut]); err == nil {
-					t.Fatalf("%s: truncation at %d of %d accepted", name, cut, len(data))
+	data := gb.Bytes()
+	step := len(data)/120 + 1
+	for cut := 0; cut < len(data); cut += step {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic at cut %d: %v", cut, r)
 				}
 			}()
-		}
-		if err := load(data); err != nil {
-			t.Fatalf("%s: full data rejected: %v", name, err)
-		}
+			if _, err := ReadGraph(bytes.NewReader(data[:cut])); err == nil {
+				t.Fatalf("truncation at %d of %d accepted", cut, len(data))
+			}
+		}()
 	}
-	try("graph", gb.Bytes(), func(b []byte) error {
-		_, err := ReadGraph(bytes.NewReader(b))
-		return err
-	})
-	try("index", ib.Bytes(), func(b []byte) error {
-		_, err := ReadIndex(bytes.NewReader(b), g)
-		return err
-	})
-	try("mstar", mb.Bytes(), func(b []byte) error {
-		_, err := ReadMStar(bytes.NewReader(b), g)
-		return err
-	})
+	if _, err := ReadGraph(bytes.NewReader(data)); err != nil {
+		t.Fatalf("full data rejected: %v", err)
+	}
 }
 
 // Random single-byte corruption must never panic: either an error or a
@@ -109,9 +83,6 @@ func (f *failWriter) Write(p []byte) (int, error) {
 
 func TestWriteFailuresPropagate(t *testing.T) {
 	g := gtest.Random(12, 60, 3, 0.2)
-	ig := baseline.AK(g, 1)
-	ms := core.NewMStar(g)
-	ms.Support(mustParse("//l0/l1"))
 
 	check := func(name string, write func(w *failWriter) error) {
 		cw := &failWriter{left: 1 << 30}
@@ -126,41 +97,6 @@ func TestWriteFailuresPropagate(t *testing.T) {
 		}
 	}
 	check("WriteGraph", func(w *failWriter) error { return WriteGraph(w, g) })
-	check("WriteIndex", func(w *failWriter) error { return WriteIndex(w, ig) })
-	check("WriteMStar", func(w *failWriter) error { return WriteMStar(w, ms) })
-}
-
-func TestLoadUpToClampAndReuse(t *testing.T) {
-	g := gtest.Random(15, 80, 4, 0.2)
-	ms := core.NewMStar(g)
-	ms.Support(mustParse("//l0/l1/l2"))
-	var buf bytes.Buffer
-	if err := WriteMStar(&buf, ms); err != nil {
-		t.Fatal(err)
-	}
-	mr, err := OpenMStar(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Out-of-range j clamps to the last component.
-	all, err := mr.LoadUpTo(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.NumComponents() != ms.NumComponents() {
-		t.Fatalf("clamped load got %d components", all.NumComponents())
-	}
-	// Re-loading a smaller prefix reuses materialized components.
-	sub, err := mr.LoadUpTo(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumComponents() != 1 {
-		t.Fatalf("prefix load got %d components", sub.NumComponents())
-	}
-	if sub.Component(0) != all.Component(0) {
-		t.Error("components not shared between loads")
-	}
 }
 
 func TestStringSanityLimit(t *testing.T) {

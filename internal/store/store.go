@@ -1,20 +1,12 @@
-// Package store persists data graphs and structural indexes in a compact
-// binary format, implementing the direction the paper lists as future work:
-// "how to make the M*(k)-index I/O-efficient by turning it into a
-// disk-resident structure that can be loaded into memory selectively and
-// incrementally during query processing."
+// Package store persists data graphs in a compact binary format (magic
+// "mrxG1"). Structural indexes are not stored here: package mmapstore
+// writes the one on-disk index format, a checksummed snapshot with one
+// directory entry per M*(k) component, which a reader maps and serves
+// without deserializing.
 //
-// The M*(k) format stores each component index as an independent section
-// with a length-prefixed header, so a reader can materialize only the
-// coarse components I0..Ij it needs: a query of length j is answered
-// precisely by components up to Ij, and finer components can be loaded
-// later without re-reading the coarse ones (see ReadMStarUpTo and
-// MStarReader).
-//
-// All integers are unsigned varints; node IDs inside extents are
-// delta-encoded (extents are sorted), which keeps files small: the format
-// is typically a few bytes per index node plus one or two bytes per extent
-// member.
+// All integers are unsigned varints; the children of a node are
+// delta-encoded (they are sorted), which keeps files small: a few bytes per
+// node and per edge.
 package store
 
 import (
@@ -26,69 +18,43 @@ import (
 	"io"
 	"slices"
 
-	"mrx/internal/core"
 	"mrx/internal/graph"
-	"mrx/internal/index"
 )
 
 const (
-	graphMagic  = "mrxG1\n"
-	indexMagic  = "mrxI1\n"
-	mstarMagic  = "mrxM1\n"
-	frozenMagic = "mrxF1\n"
+	graphMagic = "mrxG1\n"
 
 	// Sanity caps applied before any length-prefix-driven allocation, so a
 	// corrupted or adversarial file can never make a reader over-allocate:
-	// readers validate every prefix against these and against the remaining
-	// structure (node counts, extent sizes) before calling make.
+	// the reader validates every prefix against these and against the bytes
+	// left before calling make.
 	maxSaneString = 1 << 24 // longest accepted label name
 	maxSaneLabels = 1 << 24 // distinct labels per graph
 	maxSaneNodes  = 1 << 31 // nodes per graph
-	maxSaneK      = 1 << 20 // local similarity (baseline.KInfinity)
 )
 
-type countingWriter struct {
+type varintWriter struct {
 	w *bufio.Writer
-	n int64
 }
 
-func (cw *countingWriter) uvarint(x uint64) error {
+func (vw *varintWriter) uvarint(x uint64) error {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], x)
-	cw.n += int64(n)
-	_, err := cw.w.Write(buf[:n])
+	_, err := vw.w.Write(buf[:n])
 	return err
 }
 
-func (cw *countingWriter) str(s string) error {
-	if err := cw.uvarint(uint64(len(s))); err != nil {
+func (vw *varintWriter) str(s string) error {
+	if err := vw.uvarint(uint64(len(s))); err != nil {
 		return err
 	}
-	cw.n += int64(len(s))
-	_, err := cw.w.WriteString(s)
+	_, err := vw.w.WriteString(s)
 	return err
-}
-
-type reader struct {
-	r *bufio.Reader
-}
-
-func (rd *reader) uvarint() (uint64, error) { return binary.ReadUvarint(rd.r) }
-
-func expectMagic(rd *reader, magic string) error {
-	buf := make([]byte, len(magic))
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		return err
-	}
-	if string(buf) != magic {
-		return fmt.Errorf("store: bad magic %q, want %q", buf, magic)
-	}
-	return nil
 }
 
 // WriteGraph serializes a data graph.
 func WriteGraph(w io.Writer, g *graph.Graph) error {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
+	cw := &varintWriter{w: bufio.NewWriter(w)}
 	if _, err := cw.w.WriteString(graphMagic); err != nil {
 		return err
 	}
@@ -244,319 +210,4 @@ func normalizeEdges(children []graph.NodeID, kinds []graph.EdgeKind, first int) 
 		}
 	}
 	return children, kinds
-}
-
-// writeIndexBody serializes the live nodes of an index graph (extents and
-// local similarities); adjacency is rebuilt at load time.
-func writeIndexBody(cw *countingWriter, ig *index.Graph) error {
-	var werr error
-	if werr = cw.uvarint(uint64(ig.NumNodes())); werr != nil {
-		return werr
-	}
-	ig.ForEachNode(func(n *index.Node) {
-		if werr != nil {
-			return
-		}
-		if werr = cw.uvarint(uint64(n.K())); werr != nil {
-			return
-		}
-		if werr = cw.uvarint(uint64(n.Size())); werr != nil {
-			return
-		}
-		prev := int64(0)
-		for _, o := range n.Extent() {
-			if werr = cw.uvarint(uint64(int64(o) - prev)); werr != nil {
-				return
-			}
-			prev = int64(o)
-		}
-	})
-	return werr
-}
-
-func readIndexBody(rd *reader, g *graph.Graph) (*index.Graph, error) {
-	extents, ks, err := readExtentsBody(rd, g)
-	if err != nil {
-		return nil, err
-	}
-	return index.FromExtents(g, extents, ks)
-}
-
-// readExtentsBody parses the shared extents-plus-similarities body; mutable
-// and frozen loading both build on it, so the two paths cannot diverge in
-// decoding or sanity checking.
-func readExtentsBody(rd *reader, g *graph.Graph) ([][]graph.NodeID, []int, error) {
-	nNodes, err := rd.uvarint()
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: index node count: %w", err)
-	}
-	if nNodes > uint64(g.NumNodes()) {
-		return nil, nil, fmt.Errorf("store: %d index nodes for %d data nodes", nNodes, g.NumNodes())
-	}
-	extents := make([][]graph.NodeID, nNodes)
-	ks := make([]int, nNodes)
-	for i := uint64(0); i < nNodes; i++ {
-		k, err := rd.uvarint()
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: index node %d similarity: %w", i, err)
-		}
-		if k > maxSaneK {
-			return nil, nil, fmt.Errorf("store: index node %d has similarity %d beyond sanity limit", i, k)
-		}
-		ks[i] = int(k)
-		size, err := rd.uvarint()
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: index node %d extent size: %w", i, err)
-		}
-		if size == 0 || size > uint64(g.NumNodes()) {
-			return nil, nil, fmt.Errorf("store: extent %d has bad size %d", i, size)
-		}
-		extent := make([]graph.NodeID, size)
-		prev := int64(0)
-		for j := range extent {
-			delta, err := rd.uvarint()
-			if err != nil {
-				return nil, nil, fmt.Errorf("store: index node %d extent: %w", i, err)
-			}
-			prev += int64(delta)
-			if prev >= int64(g.NumNodes()) {
-				return nil, nil, fmt.Errorf("store: extent %d references data node %d, beyond %d nodes", i, prev, g.NumNodes())
-			}
-			extent[j] = graph.NodeID(prev)
-		}
-		extents[i] = extent
-	}
-	return extents, ks, nil
-}
-
-// WriteIndex serializes a single structural index (1-index, A(k), D(k) or
-// M(k)). The data graph is not embedded; supply it again at load time.
-func WriteIndex(w io.Writer, ig *index.Graph) error {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	if _, err := cw.w.WriteString(indexMagic); err != nil {
-		return err
-	}
-	if err := cw.uvarint(uint64(ig.Data().NumNodes())); err != nil {
-		return err
-	}
-	if err := writeIndexBody(cw, ig); err != nil {
-		return err
-	}
-	return cw.w.Flush()
-}
-
-// ReadIndex deserializes an index over the given data graph.
-func ReadIndex(r io.Reader, g *graph.Graph) (*index.Graph, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	if err := expectMagic(rd, indexMagic); err != nil {
-		return nil, fmt.Errorf("store: index magic: %w", err)
-	}
-	n, err := rd.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("store: index header: %w", err)
-	}
-	if n != uint64(g.NumNodes()) {
-		return nil, fmt.Errorf("store: index built over %d data nodes, graph has %d", n, g.NumNodes())
-	}
-	ig, err := readIndexBody(rd, g)
-	if err != nil {
-		return nil, err
-	}
-	// Similarities are data, not derivable: a corrupted file can encode k
-	// values that break the structural invariants (e.g. P3). Reject at load
-	// rather than letting a bad index serve wrong answers. M*(k) loads get
-	// the same check inside MStarFromComponents.
-	if err := ig.Validate(false); err != nil {
-		return nil, fmt.Errorf("store: index: %w", err)
-	}
-	return ig, nil
-}
-
-// WriteFrozen serializes a frozen index snapshot. The body is identical to
-// the mutable index format (extents and similarities in node order — frozen
-// node order is ascending retired NodeID, which is ForEachNode order), so a
-// snapshot frozen from a graph writes the same bytes as the graph itself;
-// only the magic differs, announcing that the fast loader applies. CSR
-// adjacency and label ranges are derived at load time: storing them would
-// roughly double the file for data that one linear pass over flat arrays
-// reconstructs.
-func WriteFrozen(w io.Writer, fz *index.Frozen) error {
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	if _, err := cw.w.WriteString(frozenMagic); err != nil {
-		return err
-	}
-	if err := cw.uvarint(uint64(fz.Data().NumNodes())); err != nil {
-		return err
-	}
-	if err := cw.uvarint(uint64(fz.NumNodes())); err != nil {
-		return err
-	}
-	for v := 0; v < fz.NumNodes(); v++ {
-		id := index.FrozenID(v)
-		if err := cw.uvarint(uint64(fz.K(id))); err != nil {
-			return err
-		}
-		if err := cw.uvarint(uint64(fz.Size(id))); err != nil {
-			return err
-		}
-		prev := int64(0)
-		for _, o := range fz.Extent(id) {
-			if err := cw.uvarint(uint64(int64(o) - prev)); err != nil {
-				return err
-			}
-			prev = int64(o)
-		}
-	}
-	return cw.w.Flush()
-}
-
-// ReadFrozen deserializes a frozen index snapshot over g — the persistence
-// fast path: the snapshot is rebuilt through FrozenFromExtents with flat-
-// array CSR wiring, never materializing a mutable graph or its adjacency
-// maps. Shape invariants (disjoint label-homogeneous cover, P2 wiring) hold
-// by construction; the similarity invariant P3 is checked over the CSR
-// before the snapshot is returned, mirroring ReadIndex's Validate.
-func ReadFrozen(r io.Reader, g *graph.Graph) (*index.Frozen, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	if err := expectMagic(rd, frozenMagic); err != nil {
-		return nil, fmt.Errorf("store: frozen magic: %w", err)
-	}
-	n, err := rd.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("store: frozen header: %w", err)
-	}
-	if n != uint64(g.NumNodes()) {
-		return nil, fmt.Errorf("store: frozen index built over %d data nodes, graph has %d", n, g.NumNodes())
-	}
-	extents, ks, err := readExtentsBody(rd, g)
-	if err != nil {
-		return nil, err
-	}
-	fz, err := index.FrozenFromExtents(g, extents, ks)
-	if err != nil {
-		return nil, fmt.Errorf("store: frozen: %w", err)
-	}
-	if err := fz.CheckP3(); err != nil {
-		return nil, fmt.Errorf("store: frozen: %w", err)
-	}
-	return fz, nil
-}
-
-// WriteMStar serializes an M*(k)-index as independent per-component
-// sections, each preceded by its byte length so readers can skip or stop.
-func WriteMStar(w io.Writer, ms *core.MStar) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(mstarMagic); err != nil {
-		return err
-	}
-	head := &countingWriter{w: bw}
-	if err := head.uvarint(uint64(ms.Data().NumNodes())); err != nil {
-		return err
-	}
-	if err := head.uvarint(uint64(ms.NumComponents())); err != nil {
-		return err
-	}
-	for i := 0; i < ms.NumComponents(); i++ {
-		// Serialize the component to an in-memory section first so its byte
-		// length can prefix it.
-		var section sectionBuffer
-		cw := &countingWriter{w: bufio.NewWriter(&section)}
-		if err := writeIndexBody(cw, ms.Component(i)); err != nil {
-			return err
-		}
-		if err := cw.w.Flush(); err != nil {
-			return err
-		}
-		if err := head.uvarint(uint64(len(section))); err != nil {
-			return err
-		}
-		if _, err := bw.Write(section); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-type sectionBuffer []byte
-
-func (s *sectionBuffer) Write(p []byte) (int, error) {
-	*s = append(*s, p...)
-	return len(p), nil
-}
-
-// MStarReader loads M*(k) components selectively: coarse components first,
-// finer ones on demand, without re-reading earlier sections.
-type MStarReader struct {
-	rd         *reader
-	g          *graph.Graph
-	total      int
-	nextToLoad int
-	comps      []*index.Graph
-}
-
-// OpenMStar prepares selective loading of an M*(k)-index over g.
-// It reads only the header.
-func OpenMStar(r io.Reader, g *graph.Graph) (*MStarReader, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	if err := expectMagic(rd, mstarMagic); err != nil {
-		return nil, fmt.Errorf("store: M*(k) magic: %w", err)
-	}
-	n, err := rd.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("store: M*(k) header: %w", err)
-	}
-	if n != uint64(g.NumNodes()) {
-		return nil, fmt.Errorf("store: M*(k)-index built over %d data nodes, graph has %d", n, g.NumNodes())
-	}
-	total, err := rd.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("store: M*(k) header: %w", err)
-	}
-	if total == 0 || total > 64 {
-		return nil, fmt.Errorf("store: implausible component count %d", total)
-	}
-	return &MStarReader{rd: rd, g: g, total: int(total)}, nil
-}
-
-// NumComponents returns the number of components in the file.
-func (mr *MStarReader) NumComponents() int { return mr.total }
-
-// Loaded returns how many components have been materialized so far.
-func (mr *MStarReader) Loaded() int { return len(mr.comps) }
-
-// LoadUpTo materializes components I0..Ij (inclusive) and returns an
-// M*(k)-index over them. Components already loaded are reused; the returned
-// index answers queries of length ≤ j exactly as the full index would
-// (longer queries fall back to validated evaluation in Ij).
-func (mr *MStarReader) LoadUpTo(j int) (*core.MStar, error) {
-	if j >= mr.total {
-		j = mr.total - 1
-	}
-	for len(mr.comps) <= j {
-		size, err := mr.rd.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("store: M*(k) component I%d length: %w", len(mr.comps), err)
-		}
-		section := &reader{r: bufio.NewReader(io.LimitReader(mr.rd.r, int64(size)))}
-		comp, err := readIndexBody(section, mr.g)
-		if err != nil {
-			return nil, fmt.Errorf("store: M*(k) component I%d: %w", len(mr.comps), err)
-		}
-		// Drain any buffered remainder of the section.
-		if _, err := io.Copy(io.Discard, section.r); err != nil {
-			return nil, fmt.Errorf("store: M*(k) component I%d drain: %w", len(mr.comps), err)
-		}
-		mr.comps = append(mr.comps, comp)
-		mr.nextToLoad++
-	}
-	return core.MStarFromComponents(mr.g, mr.comps[:j+1])
-}
-
-// ReadMStar loads a complete M*(k)-index.
-func ReadMStar(r io.Reader, g *graph.Graph) (*core.MStar, error) {
-	mr, err := OpenMStar(r, g)
-	if err != nil {
-		return nil, err
-	}
-	return mr.LoadUpTo(mr.total - 1)
 }

@@ -3,6 +3,8 @@ package mrx_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -132,39 +134,47 @@ func TestFacadePersistence(t *testing.T) {
 		t.Fatal("graph round trip size mismatch")
 	}
 
-	e := mrx.MustParsePath("//open_auction/bidder/personref")
-	ig := mrx.BuildAK(g, 2)
-	var ib bytes.Buffer
-	if err := mrx.WriteIndex(&ib, ig); err != nil {
+	// The index round trip is a published snapshot, reopened verified over
+	// the graph that came back from disk: it answers every supported FUP
+	// exactly as the M*(k) it was frozen from.
+	ms := mrx.NewMStar(g)
+	fups := []*mrx.PathExpr{
+		mrx.MustParsePath("//open_auction/bidder/personref"),
+		mrx.MustParsePath("//person/profile/interest"),
+		mrx.MustParsePath("//site/regions/europe/item/name"),
+	}
+	for _, e := range fups {
+		ms.Support(e)
+	}
+	path := filepath.Join(t.TempDir(), "index.mrx")
+	if err := mrx.PublishSnapshot(path, ms.Freeze(), mrx.SnapshotWriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	ig2, err := mrx.ReadIndex(bytes.NewReader(ib.Bytes()), g)
+	snap, err := mrx.OpenSnapshot(path, g2, mrx.SnapshotOpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mrx.AsQuerier(ig2).Query(e).Answer, mrx.AsQuerier(ig).Query(e).Answer) {
-		t.Fatal("index round trip answer mismatch")
+	defer snap.Close()
+	for _, e := range fups {
+		got, want := snap.FrozenMStar().Query(e), ms.Query(e)
+		if !reflect.DeepEqual(got.Answer, want.Answer) || got.Precise != want.Precise {
+			t.Errorf("%s: snapshot answers %d (precise %v), M*(k) %d (precise %v)",
+				e, len(got.Answer), got.Precise, len(want.Answer), want.Precise)
+		}
 	}
 
-	ms := mrx.NewMStar(g)
-	ms.Support(e)
-	var mb bytes.Buffer
-	if err := mrx.WriteMStar(&mb, ms); err != nil {
-		t.Fatal(err)
-	}
-	mr, err := mrx.OpenMStar(bytes.NewReader(mb.Bytes()), g)
+	// A file cut short must not open.
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := mr.LoadUpTo(1)
-	if err != nil {
+	truncated := filepath.Join(t.TempDir(), "truncated.mrx")
+	if err := os.WriteFile(truncated, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if partial.NumComponents() != 2 {
-		t.Fatalf("partial components = %d", partial.NumComponents())
-	}
-	if !reflect.DeepEqual(partial.Query(e).Answer, ms.Query(e).Answer) {
-		t.Fatal("partial M* answer mismatch")
+	if snap, err := mrx.OpenSnapshot(truncated, g2, mrx.SnapshotOpenOptions{}); err == nil {
+		snap.Close()
+		t.Fatal("truncated snapshot opened")
 	}
 }
 

@@ -104,7 +104,7 @@ func BenchmarkQueryMStarTopDown(b *testing.B) {
 	}
 }
 
-func BenchmarkQueryFrozenTopDown(b *testing.B) {
+func BenchmarkFrozenMStarTopDown(b *testing.B) {
 	g := mrx.XMarkGraph(0.1, 1)
 	ms := core.NewMStar(g)
 	e := mrx.MustParsePath("//person/watches/watch/open_auction/itemref")
