@@ -184,33 +184,18 @@ func buildIndex(g *mrx.Graph, name string, queries []*mrx.PathExpr, refine, auto
 		report(ud.Index().NumNodes(), ud.Index().NumEdges(), name)
 		return built{querier: ud, branching: ud.QueryBranching, dot: dotFor(ud.Index())}
 	case name == "engine":
-		opts := mrx.EngineOptions{Parallelism: parallel}
+		var tune *mrx.AutoTuneConfig
 		if autotune {
 			// Interval 0: mrquery steps epochs itself so runs are
 			// deterministic and need no Close.
 			cfg := mrx.DefaultAutoTuneConfig()
-			en, err := mrx.NewEngine(g, mrx.EngineOptions{Parallelism: parallel, AutoTune: &cfg})
-			if err != nil {
-				fail(err)
-			}
-			sz := en.Snapshot().Sizes()
-			fmt.Printf("index engine: %d nodes, %d edges (%d components, generation %d)\n",
-				sz.Nodes, sz.Edges, sz.Components, en.Generation())
-			fine := en.Snapshot().Finest()
-			return built{
-				querier: en,
-				branching: func(in, out *mrx.PathExpr) mrx.BranchingResult {
-					return mrx.QueryIndexBranching(fine, in, out, 0)
-				},
-				dot:    dotFor(fine),
-				engine: en,
-			}
+			tune = &cfg
 		}
-		en, err := mrx.NewEngine(g, opts)
+		en, err := mrx.NewEngine(g, mrx.EngineOptions{Parallelism: parallel, AutoTune: tune})
 		if err != nil {
 			fail(err)
 		}
-		if refine {
+		if refine && !autotune {
 			for _, q := range queries {
 				en.Support(q)
 			}
@@ -218,13 +203,14 @@ func buildIndex(g *mrx.Graph, name string, queries []*mrx.PathExpr, refine, auto
 		sz := en.Snapshot().Sizes()
 		fmt.Printf("index engine: %d nodes, %d edges (%d components, generation %d)\n",
 			sz.Nodes, sz.Edges, sz.Components, en.Generation())
-		fine := en.Snapshot().Finest()
+		// The tuning epochs run after this returns, so the finest component
+		// is resolved when it is used, not now.
 		return built{
 			querier: en,
 			branching: func(in, out *mrx.PathExpr) mrx.BranchingResult {
-				return mrx.QueryIndexBranching(fine, in, out, 0)
+				return mrx.QueryIndexBranching(en.Snapshot().Finest(), in, out, 0)
 			},
-			dot:    dotFor(fine),
+			dot:    func(w io.Writer) error { return en.Snapshot().Finest().WriteDOT(w, name, 8) },
 			engine: en,
 		}
 	case strings.HasPrefix(name, "a"):

@@ -13,9 +13,10 @@ import (
 // Readers never block: Query evaluates against an immutable generation-
 // numbered snapshot loaded through an atomic pointer — a FrozenMStar, the
 // CSR-flattened map-free view of the M*(k)-index. Refinement (Support)
-// clones the mutable twin, refines the private copy, re-freezes only the
-// components the refinement touched, and publishes both atomically;
-// concurrent Support calls serialize. Validation inside a query fans out
+// refines the writer's own mutable index in place, re-freezes only the
+// components the refinement touched, and publishes the frozen view
+// atomically; concurrent Support calls serialize. Snapshot returns a copy
+// of the writer's index, taken under its lock. Validation inside a query fans out
 // across a bounded worker pool. An Engine is a ShardedEngine with one shard
 // that owns the whole graph, so it shares that engine's methods, counters
 // (EngineStats.Shards has one entry) and snapshot lifecycle. See package

@@ -18,8 +18,9 @@ func DefaultAnalyzers() []*Analyzer {
 			"mrx/internal/index": nil,
 			// core.MStar's component list and core.FrozenMStar's frozen
 			// component vector are written only by package core (Refine,
-			// Freeze/FreezeReusing); the engine publishes them as immutable
-			// snapshots.
+			// Freeze/FreezeReusing). The engine's writer refines its MStar
+			// in place through core's API and publishes only the frozen
+			// views, which nothing writes after freezing.
 			"mrx/internal/core": nil,
 			// The engines' counters and shard tables are written only by
 			// package engine itself.

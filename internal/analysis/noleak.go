@@ -10,7 +10,7 @@ import (
 // Every goroutine launched by library code must have a visible way to stop
 // or be awaited: a context.Context, a channel, or a sync.WaitGroup somewhere
 // in the spawned call (its arguments or, for function literals, the body).
-// The engine's copy-on-write readers and the bounded validation pools all
+// The engine's snapshot readers and the bounded validation pools all
 // satisfy this; a bare `go f()` with none of the three is how refiners leak.
 //
 // A goroutine spawned as a function literal containing an unconditional

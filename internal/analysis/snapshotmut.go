@@ -11,12 +11,13 @@ import (
 // allowed.
 //
 // The engine's correctness argument is that a published snapshot — the
-// M*(k)-index behind engine.snap, built out of index.Graph nodes — is never
-// mutated again: refinement clones, mutates the private copy, and publishes
-// a fresh pointer. At runtime that is checked by fingerprinting; statically
-// it means no package outside the owners may assign to fields of types those
-// packages declare, whether directly (n.K = 3) or through an element
-// (n.Extent[0] = v).
+// frozen M*(k) view behind a shard's atomic pointer — is never mutated
+// again, while the writer's mutable index changes only through the owning
+// packages' refinement code: the writer refines in place, freezes into
+// fresh arrays, and publishes a fresh pointer. At runtime that is checked by
+// fingerprinting the published views; statically it means no package
+// outside the owners may assign to fields of types those packages declare,
+// whether directly (n.K = 3) or through an element (n.Extent[0] = v).
 func SnapshotMut(protected map[string][]string) *Analyzer {
 	return &Analyzer{
 		Name: "snapshotmut",

@@ -70,6 +70,7 @@ func run(t *testing.T, wantErr bool, name string, args ...string) string {
 // tinyXML generates a small XMark document once per test run.
 func tinyXML(t *testing.T) string {
 	t.Helper()
+	bin(t, "mrgen") // sets binDir
 	path := filepath.Join(binDir, "tiny.xml")
 	if _, err := os.Stat(path); err != nil {
 		run(t, false, "mrgen", "-dataset", "xmark", "-scale", "0.01", "-seed", "7", "-o", path)
@@ -140,6 +141,50 @@ func TestMRQueryStdinAndAnswers(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "answers") {
 		t.Errorf("missing answer summary:\n%s", out)
+	}
+}
+
+// With -autotune the tuning epochs refine the engine after it is built, so
+// -dot and branching queries must read the tuned index, not the I0 the
+// engine started from: after the tuner promotes both queries they must see
+// exactly what -refine gives them.
+func TestMRQueryAutotuneReadsTunedIndex(t *testing.T) {
+	bin(t, "mrquery")
+	var doc strings.Builder
+	doc.WriteString("<r>")
+	for i := 0; i < 30; i++ {
+		doc.WriteString("<a><b><c><d/></c></b></a><x><b><c><d/></c></b></x><a><y><c><d/></c></y></a>")
+		doc.WriteString("<a><b><z><d/></z></b></a><a><b><c><w/></c></b></a>")
+	}
+	doc.WriteString("</r>")
+	dir := t.TempDir()
+	xml := filepath.Join(dir, "abcd.xml")
+	if err := os.WriteFile(xml, []byte(doc.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	branching := regexp.MustCompile(`(?m)^//a/b\[.*$`)
+	dotNodes := regexp.MustCompile(`label=`)
+	runMode := func(mode ...string) (dotCount int, branch, out string) {
+		dot := filepath.Join(dir, mode[0]+".dot")
+		args := append([]string{"-in", xml, "-index", "engine", "-dot", dot}, mode...)
+		out = run(t, false, "mrquery", append(args, "//a/b/c/d", "//a/b[c/d]")...)
+		data, err := os.ReadFile(dot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(dotNodes.FindAll(data, -1)), branching.FindString(out), out
+	}
+	i0Nodes, i0Branch, _ := runMode("-parallel", "1")
+	tunedNodes, tunedBranch, out := runMode("-autotune", "-epochs", "4")
+	refinedNodes, refinedBranch, _ := runMode("-refine")
+	if !strings.Contains(out, "autotune: generation 2 after 4 epochs") {
+		t.Fatalf("the tuner did not promote both queries:\n%s", out)
+	}
+	if tunedNodes != refinedNodes || tunedNodes == i0Nodes {
+		t.Errorf("-autotune DOT has %d nodes, -refine %d, I0 %d", tunedNodes, refinedNodes, i0Nodes)
+	}
+	if tunedBranch != refinedBranch || tunedBranch == i0Branch {
+		t.Errorf("branching query after -autotune %q, after -refine %q, on I0 %q", tunedBranch, refinedBranch, i0Branch)
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 
 // FrozenMStar is the immutable, CSR-flattened read-path view of an
 // M*(k)-index: one index.Frozen per component. The engine serves every
-// query from a FrozenMStar while refinement keeps mutating the MStar it was
-// frozen from; at publish time only the components whose Version changed
-// are re-frozen (FreezeReusing), so an incremental refinement republishes
-// mostly shared arrays.
+// query from a FrozenMStar while its writer keeps refining the one MStar it
+// was frozen from, in place; at publish time only the components whose
+// Version moved are re-frozen (FreezeReusing), so an incremental refinement
+// republishes mostly shared arrays.
 //
 // Query evaluation mirrors the mutable strategies but performs zero map
 // operations: frontier bookkeeping uses stamp arrays over dense FrozenIDs
@@ -35,16 +35,27 @@ func (ms *MStar) Freeze() *FrozenMStar {
 	return ms.FreezeReusing(nil, nil)
 }
 
+// Versions returns the per-component version vector of ms. Versions only
+// advance on observable mutations, so a writer that saves the vector before
+// refining in place can tell a no-op refinement (UnchangedSince) and which
+// components it has to re-freeze (FreezeReusing).
+func (ms *MStar) Versions() []uint64 {
+	vv := make([]uint64, len(ms.comps))
+	for i, c := range ms.comps {
+		vv[i] = c.Version()
+	}
+	return vv
+}
+
 // FreezeReusing is Freeze with cross-generation structural sharing: any
-// component whose Version still equals the corresponding component of base
-// is reused from baseFz instead of being re-frozen. base must be the MStar
-// that ms was cloned from (the previously published generation) and baseFz
-// a frozen view of base; pass nil, nil to freeze everything.
-func (ms *MStar) FreezeReusing(base *MStar, baseFz *FrozenMStar) *FrozenMStar {
+// component whose Version still equals base[i] is reused from baseFz instead
+// of being re-frozen. base must be the version vector of ms taken when baseFz
+// was frozen from it, with only in-place refinement of ms in between; pass
+// nil, nil to freeze everything.
+func (ms *MStar) FreezeReusing(base []uint64, baseFz *FrozenMStar) *FrozenMStar {
 	comps := make([]*index.Frozen, len(ms.comps))
 	for i, c := range ms.comps {
-		if base != nil && baseFz != nil && i < len(base.comps) && i < len(baseFz.comps) &&
-			c.Version() == base.comps[i].Version() {
+		if i < len(base) && i < len(baseFz.comps) && c.Version() == base[i] {
 			comps[i] = baseFz.comps[i]
 			continue
 		}
@@ -53,22 +64,11 @@ func (ms *MStar) FreezeReusing(base *MStar, baseFz *FrozenMStar) *FrozenMStar {
 	return &FrozenMStar{data: ms.data, comps: comps, opts: ms.opts}
 }
 
-// UnchangedSince reports whether ms has the same component count and
-// per-component versions as base. Versions only advance on observable
-// mutations and Clone preserves them, so for a clone refined from base an
-// unchanged version vector means the refinement was a no-op — the engine
-// uses this to skip publishing identical snapshots without walking the
-// graphs.
-func (ms *MStar) UnchangedSince(base *MStar) bool {
-	if len(ms.comps) != len(base.comps) {
-		return false
-	}
-	for i := range ms.comps {
-		if ms.comps[i].Version() != base.comps[i].Version() {
-			return false
-		}
-	}
-	return true
+// UnchangedSince reports whether ms still has the component count and
+// per-component versions of the saved vector base: the refinement run since
+// base was taken was a no-op, and publishing would repeat the snapshot.
+func (ms *MStar) UnchangedSince(base []uint64) bool {
+	return slices.Equal(ms.Versions(), base)
 }
 
 // Data returns the underlying data graph.

@@ -51,10 +51,9 @@ func TestFrozenStrategiesMatchMutable(t *testing.T) {
 						continue
 					}
 					res, _ := fz.QueryOpts(e, query.ValidateOpts{})
-					next := ms.Clone()
-					next.Refine(e, res.Answer)
-					fz = next.FreezeReusing(ms, fz)
-					ms = next
+					base := ms.Versions()
+					ms.Refine(e, res.Answer)
+					fz = ms.FreezeReusing(base, fz)
 					break
 				}
 				if err := fz.CheckAgainst(ms); err != nil {
@@ -66,7 +65,8 @@ func TestFrozenStrategiesMatchMutable(t *testing.T) {
 }
 
 // FreezeReusing must share untouched components with the base snapshot and
-// re-freeze only dirtied ones.
+// re-freeze only dirtied ones, and refining in place must leave the base
+// snapshot an exact flattening of the index as it was when frozen.
 func TestFreezeReusingShares(t *testing.T) {
 	g := gtest.RandomShallow(7, 150, 5)
 	ms := NewMStar(g)
@@ -81,20 +81,23 @@ func TestFreezeReusingShares(t *testing.T) {
 			continue
 		}
 		res, _ := fz.QueryOpts(e, query.ValidateOpts{})
-		next := ms.Clone()
-		next.Refine(e, res.Answer)
-		nfz := next.FreezeReusing(ms, fz)
+		before, base := ms.Clone(), ms.Versions()
+		ms.Refine(e, res.Answer)
+		nfz := ms.FreezeReusing(base, fz)
 		for i := 0; i < nfz.NumComponents() && i < fz.NumComponents(); i++ {
 			same := nfz.Component(i) == fz.Component(i)
-			unchanged := next.Component(i).Version() == ms.Component(i).Version()
+			unchanged := ms.Component(i).Version() == base[i]
 			if same != unchanged {
 				t.Fatalf("%q component %d: shared=%v but version-unchanged=%v", w, i, same, unchanged)
 			}
 		}
-		if err := nfz.CheckAgainst(next); err != nil {
+		if err := nfz.CheckAgainst(ms); err != nil {
 			t.Fatalf("%q: %v", w, err)
 		}
-		ms, fz = next, nfz
+		if err := fz.CheckAgainst(before); err != nil {
+			t.Fatalf("%q: refining in place changed the previous frozen view: %v", w, err)
+		}
+		fz = nfz
 	}
 	if ms.NumComponents() < 2 {
 		t.Fatal("workload never grew the hierarchy; test is vacuous")
@@ -104,9 +107,9 @@ func TestFreezeReusingShares(t *testing.T) {
 func TestUnchangedSince(t *testing.T) {
 	g := gtest.RandomShallow(3, 120, 4)
 	ms := NewMStar(g)
-	clone := ms.Clone()
-	if !clone.UnchangedSince(ms) {
-		t.Error("fresh clone reported changed")
+	base := ms.Versions()
+	if !ms.UnchangedSince(base) {
+		t.Error("untouched index reported changed")
 	}
 
 	var fup *pathexpr.Expr
@@ -126,8 +129,8 @@ func TestUnchangedSince(t *testing.T) {
 	if fup == nil {
 		t.Skip("no imprecise FUP in workload")
 	}
-	clone.Support(fup)
-	if clone.UnchangedSince(ms) {
+	ms.Support(fup)
+	if ms.UnchangedSince(base) {
 		t.Error("refinement left version vector unchanged")
 	}
 }

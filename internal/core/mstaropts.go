@@ -71,8 +71,8 @@ func (ms *MStar) validateOpts() query.ValidateOpts {
 
 // Clone returns a deep copy of the index sharing only the immutable data
 // graph and extent slices: every component index graph is cloned, so the
-// copy can be refined independently while the original keeps serving reads.
-// Engine uses this for its copy-on-write snapshot scheme.
+// copy can be inspected or refined independently of the original.
+// Engine.Snapshot uses it to hand out the writer's index without sharing it.
 func (ms *MStar) Clone() *MStar {
 	comps := make([]*index.Graph, len(ms.comps))
 	for i, c := range ms.comps {
@@ -90,8 +90,8 @@ func (ms *MStar) Clone() *MStar {
 
 // QueryOpts evaluates e with the configured strategy under explicit
 // validation options (worker pool size, cancellation), reporting which
-// strategy ran. Engine calls this on immutable snapshots; with the zero
-// options of NewMStar it behaves exactly like Query.
+// strategy ran. With the zero options of NewMStar it behaves exactly like
+// Query.
 func (ms *MStar) QueryOpts(e *pathexpr.Expr, opt query.ValidateOpts) (query.Result, Strategy) {
 	switch ms.opts.Strategy {
 	case StrategyNaive:

@@ -16,11 +16,16 @@ func (ms *MStar) recordFUP(e *pathexpr.Expr) {
 	ms.fups[pathexpr.Canonical(e)] = e
 }
 
+// ForgetFUP removes e from the registry and leaves the components alone.
+// A writer refining in place calls it after a Refine that moved no
+// component version, so a no-op refinement leaves the registry as it was.
+func (ms *MStar) ForgetFUP(e *pathexpr.Expr) { delete(ms.fups, pathexpr.Canonical(e)) }
+
 // HasFUP reports whether the index has been refined for e (by canonical
 // form). Refinement is monotone — splits are never undone except by Retire —
 // so a registered FUP stays supported at its (possibly MaxK-capped)
 // resolution until it is retired. The engine uses this as a cheap
-// already-supported probe before cloning a snapshot.
+// already-supported probe before evaluating and refining.
 func (ms *MStar) HasFUP(e *pathexpr.Expr) bool {
 	_, ok := ms.fups[pathexpr.Canonical(e)]
 	return ok
@@ -50,7 +55,7 @@ func (ms *MStar) SupportedFUPs() []*pathexpr.Expr {
 // re-supports every other registered FUP, so the affected components are
 // recomputed without the retired expression. It returns the rebuilt index
 // and true, or (nil, false) when e is not in the registry.
-// The receiver is never mutated — callers publishing snapshots swap in the
+// The receiver is never mutated — the engine's writer swaps in the
 // returned index.
 //
 // Retire is rebuild-based by design: the paper defines PROMOTE′ (refinement

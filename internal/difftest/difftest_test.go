@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mrx/internal/core"
+	"mrx/internal/engine"
 	"mrx/internal/graph"
 	"mrx/internal/gtest"
 	"mrx/internal/pathexpr"
@@ -145,24 +146,70 @@ func TestSlowEvalFixture(t *testing.T) {
 	}
 }
 
-// Fingerprint must be sensitive to refinement (the immutability check
-// depends on it) and stable across no-ops.
+// Fingerprint must be deterministic, agree on equal frozen views, and
+// change on refinement and on any write into a published array (the
+// immutability check depends on all of these).
 func TestFingerprint(t *testing.T) {
 	g := gtest.Random(5, 60, 4, 0.2)
 	ms := newRefinedMStar(g, "//l0/l1")
-	fp1 := Fingerprint(ms)
-	if fp2 := Fingerprint(ms); fp2 != fp1 {
+	fz := ms.Freeze()
+	fp1 := Fingerprint(fz)
+	if Fingerprint(fz) != fp1 {
 		t.Fatal("fingerprint not deterministic")
 	}
-	ms2 := ms.Clone()
-	if Fingerprint(ms2) != fp1 {
-		t.Fatal("clone changed fingerprint")
+	if Fingerprint(ms.Clone().Freeze()) != fp1 {
+		t.Fatal("equal frozen views fingerprint differently")
 	}
-	ms2.Support(mustParse("//l1/l2/l3"))
-	if Fingerprint(ms2) == fp1 && ms2.NumComponents() != ms.NumComponents() {
+	base := ms.Versions()
+	ms.Support(mustParse("//l1/l2/l3"))
+	if Fingerprint(fz) != fp1 {
+		t.Fatal("refining in place changed the previously frozen view")
+	}
+	if !ms.UnchangedSince(base) && Fingerprint(ms.FreezeReusing(base, fz)) == fp1 {
 		t.Fatal("refinement did not change fingerprint")
 	}
-	if Fingerprint(ms) != fp1 {
-		t.Fatal("refining a clone mutated the original")
+	arena := fz.Component(fz.NumComponents() - 1).Arrays().ExtentArena
+	arena[0] ^= 1
+	mutated := Fingerprint(fz)
+	arena[0] ^= 1
+	if mutated == fp1 {
+		t.Fatal("a write into a published extent arena left the fingerprint unchanged")
+	}
+}
+
+// The engine paths' immutability check is not vacuous: a write into an array
+// of a published generation's frozen view makes Finish fail, and undoing it
+// makes Finish pass again.
+func TestPublishedViewMutationFailsFinish(t *testing.T) {
+	g := gtest.New(6, gtest.Options{Nodes: 200, Labels: 5, RefProb: 0.1, Components: 3})
+	fups := Supportable(parseAll(t, gtest.RandomWorkload(7, g, gtest.WorkloadOptions{Size: 20, MaxLen: 3})))
+	for _, build := range []func(*graph.Graph, PathsOptions) (*ServingPath, error){enginePath, shardedPath} {
+		sp, err := build(g, PathsOptions{Parallelism: 1, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gen0 *core.FrozenMStar
+		switch en := sp.Querier.(type) {
+		case *engine.Engine:
+			gen0 = en.FrozenSnapshot()
+		case *engine.Sharded:
+			gen0 = en.ShardState(0).Snapshot().FZ
+		}
+		for _, e := range fups {
+			sp.Support(e)
+		}
+		if err := sp.Finish(); err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		ks := gen0.Component(0).Arrays().Ks
+		ks[0]++
+		err = sp.Finish()
+		ks[0]--
+		if err == nil {
+			t.Fatalf("%s: a write into a published Ks array went unnoticed", sp.Name)
+		}
+		if err := sp.Finish(); err != nil {
+			t.Fatalf("%s: after undoing the write: %v", sp.Name, err)
+		}
 	}
 }

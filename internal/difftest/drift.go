@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mrx/internal/adapt"
-	"mrx/internal/core"
 	"mrx/internal/engine"
 	"mrx/internal/graph"
 	"mrx/internal/gtest"
@@ -139,22 +138,17 @@ func RunDriftCase(tb testing.TB, o DriftOptions) DriftReport {
 		return res.Precise
 	}
 
-	// Track every published generation: snapshots are immutable by contract,
-	// so their fingerprints must never change — including across the
-	// rebuild-from-scratch path Retire takes.
-	type published struct {
-		gen uint64
-		ms  *core.MStar
-		fp  uint64
-	}
-	var history []published
+	// Track every published generation: its frozen views are immutable by
+	// contract, so their fingerprints must never change — including across
+	// the rebuild-from-scratch path Retire takes.
+	st := en.ShardState(0)
+	var history published
 	seen := map[uint64]bool{}
 	fingerprintCurrent := func() {
 		gen := en.Generation()
 		if !seen[gen] {
 			seen[gen] = true
-			ms := en.Snapshot()
-			history = append(history, published{gen, ms, Fingerprint(ms)})
+			history.record(fmt.Sprintf("snapshot generation %d", gen), st.Snapshot())
 		}
 	}
 	fingerprintCurrent()
@@ -182,15 +176,11 @@ func RunDriftCase(tb testing.TB, o DriftOptions) DriftReport {
 
 			// Full invariant re-verification after every step that retired
 			// (the rebuild path) — and cheaply after every step regardless.
-			st := en.Stats()
-			checkBisim := o.CheckBisim && st.Retirements > lastRetires
-			lastRetires = st.Retirements
-			if err := en.Snapshot().Validate(checkBisim); err != nil {
-				tb.Fatalf("seed %d: drift phase %d epoch %d: invariants: %v",
-					o.Seed, phase, epoch, err)
-			}
-			if err := en.FrozenSnapshot().CheckAgainst(en.Snapshot()); err != nil {
-				tb.Fatalf("seed %d: drift phase %d epoch %d: frozen view: %v",
+			retires := en.Stats().Retirements
+			checkBisim := o.CheckBisim && retires > lastRetires
+			lastRetires = retires
+			if err := checkWriter(st, checkBisim); err != nil {
+				tb.Fatalf("seed %d: drift phase %d epoch %d: %v",
 					o.Seed, phase, epoch, err)
 			}
 
@@ -213,17 +203,14 @@ func RunDriftCase(tb testing.TB, o DriftOptions) DriftReport {
 	}
 
 	// Published snapshots stayed immutable throughout.
-	for _, p := range history {
-		if Fingerprint(p.ms) != p.fp {
-			tb.Fatalf("seed %d: drift: snapshot generation %d mutated after publication",
-				o.Seed, p.gen)
-		}
+	if err := history.check(); err != nil {
+		tb.Fatalf("seed %d: drift: %v", o.Seed, err)
 	}
 
-	st := en.Stats()
-	report.Promotions = st.AutoTune.Promotions
-	report.Retirements = st.Retirements
-	report.Generations = st.Generation
+	stats := en.Stats()
+	report.Promotions = stats.AutoTune.Promotions
+	report.Retirements = stats.Retirements
+	report.Generations = stats.Generation
 	return report
 }
 

@@ -15,6 +15,7 @@ import (
 	"mrx/internal/mmapstore"
 	"mrx/internal/pathexpr"
 	"mrx/internal/query"
+	"mrx/internal/shard"
 )
 
 // ServingPath is one way of answering queries that the differential runner
@@ -185,9 +186,9 @@ func (v frozenView) CountCtx(_ context.Context, e *pathexpr.Expr) (query.Result,
 // frozenPath serves every query from a frozen CSR snapshot while refinement
 // runs on the mutable twin, exercising the engine's freeze-at-publish
 // lifecycle (including cross-generation component reuse via FreezeReusing)
-// in isolation: Support refines a clone and re-freezes only dirtied
-// components; Check proves the served snapshot is an exact flattening of
-// the mutable index it was frozen from.
+// in isolation: Support refines the twin in place and re-freezes only the
+// components whose version moved; Check proves the served snapshot is an
+// exact flattening of the mutable index it was frozen from.
 func frozenPath(g *graph.Graph) *ServingPath {
 	ms := core.NewMStar(g)
 	fz := ms.Freeze()
@@ -196,10 +197,9 @@ func frozenPath(g *graph.Graph) *ServingPath {
 		Querier: frozenView(func() *core.FrozenMStar { return fz }),
 		Support: func(e *pathexpr.Expr) {
 			res, _ := fz.QueryOpts(e, query.ValidateOpts{})
-			next := ms.Clone()
-			next.Refine(e, res.Answer)
-			fz = next.FreezeReusing(ms, fz)
-			ms = next
+			base := ms.Versions()
+			ms.Refine(e, res.Answer)
+			fz = ms.FreezeReusing(base, fz)
 		},
 		Check: func(checkBisim bool) error {
 			if err := ms.Validate(checkBisim); err != nil {
@@ -269,49 +269,29 @@ func mmapPath(g *graph.Graph) *ServingPath {
 }
 
 // enginePath wraps the concurrent engine and tracks every published
-// snapshot: Check validates the current snapshot after each refinement and
-// Finish re-fingerprints all historical generations, failing if refinement
-// ever mutated an already-published (immutable by contract) snapshot.
+// snapshot: Check validates the writer's index after each refinement and
+// Finish re-fingerprints the frozen views of all historical generations,
+// failing if refinement ever mutated an already-published (immutable by
+// contract) one.
 func enginePath(g *graph.Graph, o PathsOptions) (*ServingPath, error) {
 	en, err := engine.New(g, engine.Options{Parallelism: o.Parallelism})
 	if err != nil {
 		return nil, fmt.Errorf("difftest: engine path: %w", err)
 	}
-	type published struct {
-		gen uint64
-		ms  *core.MStar
-		fp  uint64
-	}
-	record := func() published {
-		ms := en.Snapshot()
-		return published{gen: en.Generation(), ms: ms, fp: Fingerprint(ms)}
-	}
-	history := []published{record()}
+	st := en.ShardState(0)
+	var history published
+	record := func() { history.record(fmt.Sprintf("engine generation %d", en.Generation()), st.Snapshot()) }
+	record()
 	sp := &ServingPath{
 		Name:    "engine",
 		Querier: en,
 		Support: func(e *pathexpr.Expr) {
 			if en.Support(e) {
-				history = append(history, record())
+				record()
 			}
 		},
-		Check: func(checkBisim bool) error {
-			if err := en.Snapshot().Validate(checkBisim); err != nil {
-				return err
-			}
-			// The served frozen view must be an exact flattening of the
-			// published mutable index, including after FreezeReusing
-			// carried components across generations.
-			return en.FrozenSnapshot().CheckAgainst(en.Snapshot())
-		},
-		Finish: func() error {
-			for _, p := range history {
-				if Fingerprint(p.ms) != p.fp {
-					return fmt.Errorf("engine snapshot generation %d mutated after publication", p.gen)
-				}
-			}
-			return nil
-		},
+		Check:  func(checkBisim bool) error { return checkWriter(st, checkBisim) },
+		Finish: func() error { return history.check() },
 	}
 	return sp, nil
 }
@@ -319,27 +299,21 @@ func enginePath(g *graph.Graph, o PathsOptions) (*ServingPath, error) {
 // shardedPath wraps the scatter-gather engine: queries scatter across the
 // shard-local M*(k) snapshots and gather into one answer the runner
 // compares against SlowEval like any other path. Check validates every
-// shard's mutable index and proves each served frozen view is an exact
-// flattening of its mutable twin — including after cross-generation
-// component reuse, since each shard's Refine publishes via FreezeReusing.
-// Finish re-fingerprints every published shard snapshot, failing if
-// refinement ever mutated one.
+// shard's writer index and proves each served frozen view is an exact
+// flattening of it — including after cross-generation component reuse,
+// since each shard's Refine publishes via FreezeReusing. Finish
+// re-fingerprints every published shard view, failing if refinement ever
+// mutated one.
 func shardedPath(g *graph.Graph, o PathsOptions) (*ServingPath, error) {
 	en, err := engine.NewSharded(g, engine.ShardedOptions{Shards: o.Shards, Parallelism: o.Parallelism})
 	if err != nil {
 		return nil, fmt.Errorf("difftest: sharded path: %w", err)
 	}
-	type published struct {
-		shard int
-		gen   uint64
-		ms    *core.MStar
-		fp    uint64
-	}
-	var history []published
+	var history published
 	record := func() {
 		for i := 0; i < en.NumShards(); i++ {
 			snap := en.ShardState(i).Snapshot()
-			history = append(history, published{shard: i, gen: snap.Gen, ms: snap.MS, fp: Fingerprint(snap.MS)})
+			history.record(fmt.Sprintf("shard %d generation %d", i, snap.Gen), snap)
 		}
 	}
 	record()
@@ -353,24 +327,13 @@ func shardedPath(g *graph.Graph, o PathsOptions) (*ServingPath, error) {
 		},
 		Check: func(checkBisim bool) error {
 			for i := 0; i < en.NumShards(); i++ {
-				snap := en.ShardState(i).Snapshot()
-				if err := snap.MS.Validate(checkBisim); err != nil {
-					return fmt.Errorf("shard %d: %w", i, err)
-				}
-				if err := snap.FZ.CheckAgainst(snap.MS); err != nil {
+				if err := checkWriter(en.ShardState(i), checkBisim); err != nil {
 					return fmt.Errorf("shard %d: %w", i, err)
 				}
 			}
 			return nil
 		},
-		Finish: func() error {
-			for _, p := range history {
-				if Fingerprint(p.ms) != p.fp {
-					return fmt.Errorf("shard %d snapshot generation %d mutated after publication", p.shard, p.gen)
-				}
-			}
-			return nil
-		},
+		Finish: func() error { return history.check() },
 	}
 	return sp, nil
 }
@@ -388,29 +351,77 @@ func Supportable(es []*pathexpr.Expr) []*pathexpr.Expr {
 	return out
 }
 
-// Fingerprint hashes the complete observable state of an M*(k)-index —
-// per component: every live node's ID, local similarity, extent, and child
-// list — so any mutation of a supposedly immutable snapshot changes it.
-func Fingerprint(ms *core.MStar) uint64 {
+// Fingerprint hashes every array of a frozen M*(k) view — the complete
+// state a reader can observe, component by component — so any write to a
+// published (immutable by contract) view changes it.
+func Fingerprint(fm *core.FrozenMStar) uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
-	w := func(x int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
-	}
-	for i := 0; i < ms.NumComponents(); i++ {
-		comp := ms.Component(i)
-		w(int64(i))
-		comp.ForEachNode(func(n *index.Node) {
-			w(int64(n.ID()))
-			w(int64(n.K()))
-			for _, o := range n.Extent() {
-				w(int64(o))
-			}
-			for _, c := range comp.Children(n) {
-				w(int64(c.ID()))
-			}
-		})
+	var buf []byte
+	for i := 0; i < fm.NumComponents(); i++ {
+		a := fm.Component(i).Arrays()
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(i))
+		buf = appendInts(buf, a.Retired)
+		buf = appendInts(buf, a.Ks)
+		buf = appendInts(buf, a.Labels)
+		buf = appendInts(buf, a.ExtentStart)
+		buf = appendInts(buf, a.ExtentArena)
+		buf = appendInts(buf, a.ChildStart)
+		buf = appendInts(buf, a.Children)
+		buf = appendInts(buf, a.ParentStart)
+		buf = appendInts(buf, a.Parents)
+		buf = appendInts(buf, a.LabelStart)
+		buf = appendInts(buf, a.LabelNodes)
+		buf = appendInts(buf, a.NodeOf)
+		h.Write(buf)
 	}
 	return h.Sum64()
+}
+
+// appendInts appends the length of xs and then its elements, little endian.
+func appendInts[T ~int32](buf []byte, xs []T) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(xs)))
+	for _, x := range xs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+	}
+	return buf
+}
+
+// published records the frozen views of every generation a shard published,
+// with their fingerprints at publication.
+type published []publishedView
+
+type publishedView struct {
+	what string
+	fm   *core.FrozenMStar
+	fp   uint64
+}
+
+// record fingerprints snap's heap view and, when it serves from a different
+// one (a persisted remapping), that view too.
+func (p *published) record(what string, snap *shard.Snap) {
+	*p = append(*p, publishedView{what, snap.FZ, Fingerprint(snap.FZ)})
+	if s := snap.Serving(); s != snap.FZ {
+		*p = append(*p, publishedView{what + " (serving view)", s, Fingerprint(s)})
+	}
+}
+
+// check re-fingerprints every recorded view.
+func (p published) check() error {
+	for _, v := range p {
+		if Fingerprint(v.fm) != v.fp {
+			return fmt.Errorf("%s mutated after publication", v.what)
+		}
+	}
+	return nil
+}
+
+// checkWriter validates a locked copy of st's writer index and proves the
+// generation published from it an exact flattening of it — including after
+// FreezeReusing carried components across generations.
+func checkWriter(st *shard.State, checkBisim bool) error {
+	ms, snap := st.CopyIndex()
+	if err := ms.Validate(checkBisim); err != nil {
+		return err
+	}
+	return snap.FZ.CheckAgainst(ms)
 }

@@ -1,20 +1,19 @@
 // Package engine serves structural-index queries to many goroutines
 // concurrently while the index keeps adapting to the workload.
 //
-// The concurrency model is copy-on-write with generation-numbered
-// snapshots, split into a mutable write side and an immutable read side,
-// and it lives in one place: shard.State. Readers never block: a query
-// loads a shard's current snapshot through an atomic pointer and evaluates
-// against its frozen M*(k)-index — a CSR-flattened core.FrozenMStar that
-// contains no maps at all — lock-free and with deterministic traversal
-// order. Writers serialize on the shard's mutex: Support clones the
-// current mutable index, applies REFINE* to the private copy, re-freezes
-// only the components whose version changed, and publishes with a single
-// atomic pointer swap that bumps the generation. A reader that loaded the
-// old snapshot mid-query finishes against arrays no one will ever mutate
-// again; the next query observes the refined generation. This realizes the
-// paper's operational loop (Figure 5: serve, extract FUPs, refine, repeat)
-// under concurrent load.
+// The concurrency model is a single writer-owned mutable index behind
+// generation-numbered immutable snapshots, and it lives in one place:
+// shard.State. Readers never block: a query loads a shard's current
+// snapshot through an atomic pointer and evaluates against its frozen
+// M*(k)-index — a CSR-flattened core.FrozenMStar that contains no maps at
+// all — lock-free and with deterministic traversal order. Writers serialize
+// on the shard's mutex: Support applies REFINE* in place to the mutable
+// index only the writer ever touches, re-freezes only the components whose
+// version moved, and publishes with a single atomic pointer swap that bumps
+// the generation. A reader that loaded the old snapshot mid-query finishes
+// against arrays no one will ever mutate again; the next query observes the
+// refined generation. This realizes the paper's operational loop (Figure 5:
+// serve, extract FUPs, refine, repeat) under concurrent load.
 //
 // Sharded runs one State per shard of the data graph. Engine is a Sharded
 // with exactly one shard that owns the whole graph, so it shares every
@@ -134,11 +133,15 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 	return &Engine{en}, nil
 }
 
-// Snapshot returns the mutable-representation M*(k)-index of the current
-// generation. The result is immutable — refinement never mutates a
-// published snapshot — so callers may inspect it (sizes, components,
-// validation) without coordination.
-func (en *Engine) Snapshot() *core.MStar { return en.shards[0].Snapshot().MS }
+// Snapshot returns a deep copy of the writer's mutable M*(k)-index, taken
+// under the write lock: the index the current generation was frozen from.
+// The copy is the caller's, so it may be inspected (sizes, components,
+// validation) without coordination while the engine keeps refining. Each
+// call copies every component; queries read FrozenSnapshot's view instead.
+func (en *Engine) Snapshot() *core.MStar {
+	ms, _ := en.shards[0].CopyIndex()
+	return ms
+}
 
 // FrozenSnapshot returns the heap-frozen M*(k)-index view of the current
 // generation. It is immutable by construction. Under Options.Persist this

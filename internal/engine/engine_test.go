@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"mrx/internal/adapt"
 	"mrx/internal/core"
 	"mrx/internal/datagen"
+	"mrx/internal/graph"
 	"mrx/internal/gtest"
 	"mrx/internal/pathexpr"
 	"mrx/internal/query"
@@ -171,6 +175,105 @@ func TestConcurrentReadersCyclicGraph(t *testing.T) {
 	}
 }
 
+// The writer refines its index in place, so every public read of it —
+// SupportedFUPs and Snapshot — must take the writer's lock. One goroutine
+// runs Support and Retire while the others call SupportedFUPs, Stats,
+// QueryCtx and Snapshot; under -race (make check) an unlocked read fails.
+// Every answer must stay exact, and every Snapshot copy must be a valid
+// M*(k)-index whose registry lists only FUPs of the workload.
+func TestWriterIndexReadsUnderLock(t *testing.T) {
+	g := datagen.XMarkGraph(0.005, 9)
+	en := mustNew(t, g, Options{Parallelism: 2})
+	exprs := make([]*pathexpr.Expr, len(testQueries))
+	truth := make([][]graph.NodeID, len(testQueries))
+	known := map[string]bool{}
+	for i, s := range testQueries {
+		exprs[i] = mustParse(s)
+		truth[i] = en.Eval(exprs[i])
+		known[pathexpr.Canonical(exprs[i])] = true
+	}
+
+	done := make(chan struct{})
+	var wg, ready sync.WaitGroup
+	errc := make(chan error, 4)
+	report := func(err error) {
+		select {
+		case errc <- err:
+		default:
+		}
+	}
+	reader := func(read func(i int) error) {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if i == 1 {
+					ready.Done()
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := read(i); err != nil {
+					report(err)
+					if i == 0 {
+						ready.Done()
+					}
+					return
+				}
+			}
+		}()
+	}
+	reader(func(int) error {
+		for _, e := range en.SupportedFUPs() {
+			if !known[pathexpr.Canonical(e)] {
+				return fmt.Errorf("SupportedFUPs lists %s, not in the workload", e)
+			}
+		}
+		en.Stats()
+		return nil
+	})
+	reader(func(i int) error {
+		qi := i % len(exprs)
+		res, err := en.QueryCtx(context.Background(), exprs[qi])
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(res.Answer, truth[qi]) {
+			return fmt.Errorf("%s: %d answers, ground truth %d", testQueries[qi], len(res.Answer), len(truth[qi]))
+		}
+		return nil
+	})
+	reader(func(int) error {
+		if err := en.Snapshot().Validate(false); err != nil {
+			return fmt.Errorf("Snapshot copy: %w", err)
+		}
+		return nil
+	})
+
+	ready.Wait() // every reader is past its first read before the writer starts
+	for round := 0; round < 3; round++ {
+		for _, e := range exprs {
+			en.Support(e)
+		}
+		for _, e := range exprs[:3] {
+			en.Retire(e)
+		}
+	}
+	close(done)
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+	if st := en.Stats(); st.Refinements == 0 || st.Retirements == 0 {
+		t.Fatalf("writer did no work: %d refinements, %d retirements", st.Refinements, st.Retirements)
+	}
+}
+
 func TestQueryCtx(t *testing.T) {
 	g := datagen.XMarkGraph(0.005, 2)
 	en := mustNew(t, g, Options{})
@@ -245,25 +348,45 @@ func TestStatsRendering(t *testing.T) {
 	}
 }
 
-// TestSnapshotImmutability: a snapshot captured before refinement must not
-// change when the engine refines.
+// TestSnapshotImmutability: the frozen view published before a refinement
+// must not change when the writer refines its index in place, and neither
+// may a copy handed out by Snapshot.
 func TestSnapshotImmutability(t *testing.T) {
 	g := datagen.XMarkGraph(0.005, 7)
 	en := mustNew(t, g, Options{})
 	e := mustParse("//open_auction/bidder/personref")
 
-	old := en.Snapshot()
-	oldNodes := old.Finest().NumNodes()
-	oldComps := old.NumComponents()
+	old := en.FrozenSnapshot()
+	oldDOT := frozenDOT(t, old)
+	copied := en.Snapshot()
+	copiedNodes, copiedComps := copied.Finest().NumNodes(), copied.NumComponents()
 	if !en.Support(e) {
 		t.Fatal("Support should publish")
 	}
-	if old.Finest().NumNodes() != oldNodes || old.NumComponents() != oldComps {
-		t.Fatal("published refinement mutated the old snapshot")
+	if !bytes.Equal(frozenDOT(t, old), oldDOT) {
+		t.Fatal("published refinement mutated the old frozen view")
 	}
-	if en.Snapshot() == old {
-		t.Fatal("snapshot pointer did not change on publish")
+	if copied.Finest().NumNodes() != copiedNodes || copied.NumComponents() != copiedComps {
+		t.Fatal("published refinement mutated a copy Snapshot handed out")
 	}
+	if en.FrozenSnapshot() == old {
+		t.Fatal("frozen view did not change on publish")
+	}
+	if err := en.FrozenSnapshot().CheckAgainst(en.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frozenDOT renders every component of a frozen view to DOT.
+func frozenDOT(t *testing.T, fz *core.FrozenMStar) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for c := 0; c < fz.NumComponents(); c++ {
+		if err := fz.Component(c).WriteDOT(&buf, "s", 1<<20); err != nil {
+			t.Fatalf("component %d: WriteDOT: %v", c, err)
+		}
+	}
+	return buf.Bytes()
 }
 
 // New must refuse plainly invalid options with an error wrapping the

@@ -8,8 +8,8 @@ import (
 )
 
 // The engine must serve every query from a frozen view that is an exact
-// flattening of the published mutable index, across refinement generations,
-// and reuse untouched frozen components between generations.
+// flattening of the writer's index, across refinement generations, and
+// reuse untouched frozen components between generations.
 func TestEngineFrozenServing(t *testing.T) {
 	g := gtest.RandomShallow(11, 160, 5)
 	en := mustNew(t, g, Options{Parallelism: 2})
@@ -42,7 +42,7 @@ func TestEngineFrozenServing(t *testing.T) {
 		if e.HasWildcard() || e.RequiredK() == pathexpr.Unbounded {
 			continue
 		}
-		prevFz, prevMs := en.FrozenSnapshot(), en.Snapshot()
+		prevFz, prevVersions := en.FrozenSnapshot(), en.Snapshot().Versions()
 		if en.Support(e) {
 			published++
 			fz, ms := en.FrozenSnapshot(), en.Snapshot()
@@ -52,7 +52,7 @@ func TestEngineFrozenServing(t *testing.T) {
 			// Components whose version is unchanged must be carried over
 			// from the previous frozen snapshot, not re-frozen.
 			for i := 0; i < prevFz.NumComponents(); i++ {
-				if ms.Component(i).Version() == prevMs.Component(i).Version() &&
+				if ms.Component(i).Version() == prevVersions[i] &&
 					fz.Component(i) != prevFz.Component(i) {
 					t.Errorf("%q: component %d re-frozen although unchanged", w, i)
 				}

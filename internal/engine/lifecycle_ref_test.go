@@ -20,8 +20,9 @@ import (
 // refEngine is the monolithic engine's write side as it stood before the
 // Engine became a one-shard Sharded: its own snapshot pointer, its own
 // Support/Retire no-op ladder, and its own persist wiring. The Support,
-// publish and Retire bodies below are kept verbatim, but for type names, as
-// the differential oracle for shard.State, the lifecycle that replaced them.
+// publish and Retire bodies below are kept verbatim, but for type names and
+// the version-vector form of UnchangedSince/FreezeReusing, as the
+// differential oracle for shard.State, the lifecycle that replaced them.
 type refEngine struct {
 	workers int
 
@@ -111,9 +112,10 @@ func (en *refEngine) Support(e *pathexpr.Expr) bool {
 		en.stats.refinesSkipped.Add(1)
 		return false
 	}
+	base := cur.ms.Versions()
 	clone := cur.ms.Clone()
 	clone.Refine(e, res.Answer)
-	if clone.UnchangedSince(cur.ms) {
+	if clone.UnchangedSince(base) {
 		// MaxK cap (or a descendant-axis FUP) made refinement a no-op;
 		// don't publish an identical snapshot. Clone preserves component
 		// versions and versions only advance on observable mutations, so
@@ -124,7 +126,7 @@ func (en *refEngine) Support(e *pathexpr.Expr) bool {
 	}
 	// Re-freeze only the components the refinement dirtied; untouched ones
 	// are shared with the outgoing snapshot.
-	fz := clone.FreezeReusing(cur.ms, cur.fz)
+	fz := clone.FreezeReusing(base, cur.fz)
 	en.publish(&refSnapshot{gen: cur.gen + 1, ms: clone, fz: fz})
 	en.stats.refinements.Add(1)
 	return true
@@ -169,10 +171,19 @@ func encodeFrozen(t *testing.T, fz *core.FrozenMStar) []byte {
 	return buf.Bytes()
 }
 
+// fupKeys renders a FUP list as its canonical forms, in order.
+func fupKeys(fups []*pathexpr.Expr) string {
+	keys := make([]string, len(fups))
+	for i, e := range fups {
+		keys[i] = pathexpr.Canonical(e)
+	}
+	return fmt.Sprint(keys)
+}
+
 // The Engine, now a one-shard Sharded over shard.State, must walk the same
 // lifecycle as the old monolithic write side: after every Support and
 // Retire the same published verdict, the same generation, the same
-// counters, and a byte-identical frozen snapshot (and, under Persist, a
+// counters, the same FUP registry, and a byte-identical frozen snapshot (and, under Persist, a
 // byte-identical file on disk). The workloads mix witnessed FUPs with
 // rooted, wildcard, descendant-axis and adversarial expressions, so every
 // rung of the no-op ladder is taken; MaxK 2 adds capped no-op refinements.
@@ -215,6 +226,9 @@ func checkAgainstReference(t *testing.T, seed int64, comps, maxK int, persist bo
 		cur := ref.snap.Load()
 		if en.Generation() != cur.gen {
 			t.Fatalf("step %d %s %s: generation %d, reference %d", step, op, e, en.Generation(), cur.gen)
+		}
+		if got, want := fupKeys(en.SupportedFUPs()), fupKeys(cur.ms.SupportedFUPs()); got != want {
+			t.Fatalf("step %d %s %s: supported FUPs %s, reference %s", step, op, e, got, want)
 		}
 		enc := encodeFrozen(t, en.FrozenSnapshot())
 		if !bytes.Equal(enc, encodeFrozen(t, cur.fz)) {

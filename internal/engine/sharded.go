@@ -3,9 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -448,21 +449,19 @@ func (en *Sharded) Retire(e *pathexpr.Expr) bool {
 }
 
 // SupportedFUPs returns the union of the shard registries, deduplicated
-// and sorted by canonical form. Together with Support and Retire this
-// makes Sharded an adapt.Target.
+// and sorted by canonical form, reading each registry under its shard's
+// write lock. Together with Support and Retire this makes Sharded an
+// adapt.Target.
 func (en *Sharded) SupportedFUPs() []*pathexpr.Expr {
-	var all []*pathexpr.Expr
+	byKey := make(map[string]*pathexpr.Expr)
 	for _, st := range en.shards {
-		all = append(all, st.Snapshot().MS.SupportedFUPs()...)
-	}
-	sort.Slice(all, func(a, b int) bool {
-		return pathexpr.Canonical(all[a]) < pathexpr.Canonical(all[b])
-	})
-	out := all[:0]
-	for i, e := range all {
-		if i == 0 || pathexpr.Canonical(e) != pathexpr.Canonical(all[i-1]) {
-			out = append(out, e)
+		for _, e := range st.SupportedFUPs() {
+			byKey[pathexpr.Canonical(e)] = e
 		}
+	}
+	out := make([]*pathexpr.Expr, 0, len(byKey))
+	for _, k := range slices.Sorted(maps.Keys(byKey)) {
+		out = append(out, byKey[k])
 	}
 	return out
 }

@@ -220,16 +220,11 @@ func TestShardedRefinementsDoNotSerialize(t *testing.T) {
 // Byte equality of this rendering is the determinism criterion.
 func shardFingerprint(t *testing.T, en *Sharded) []byte {
 	t.Helper()
-	var buf bytes.Buffer
+	var out []byte
 	for i := 0; i < en.NumShards(); i++ {
-		fz := en.ShardState(i).Snapshot().FZ
-		for c := 0; c < fz.NumComponents(); c++ {
-			if err := fz.Component(c).WriteDOT(&buf, "s", 1<<20); err != nil {
-				t.Fatalf("shard %d component %d: WriteDOT: %v", i, c, err)
-			}
-		}
+		out = append(out, frozenDOT(t, en.ShardState(i).Snapshot().FZ)...)
 	}
-	return buf.Bytes()
+	return out
 }
 
 // Parallel per-shard freeze must be deterministic: the same graph, shard
@@ -254,10 +249,10 @@ func TestShardedFreezeDeterministic(t *testing.T) {
 		if got := shardFingerprint(t, en); !bytes.Equal(got, want) {
 			t.Fatalf("FreezeWorkers=%d: shard snapshots differ from sequential freeze", workers)
 		}
-		// Frozen views must also agree with their mutable twins.
+		// Frozen views must also agree with their writers' indexes.
 		for i := 0; i < en.NumShards(); i++ {
-			snap := en.ShardState(i).Snapshot()
-			if err := snap.FZ.CheckAgainst(snap.MS); err != nil {
+			ms, snap := en.ShardState(i).CopyIndex()
+			if err := snap.FZ.CheckAgainst(ms); err != nil {
 				t.Fatalf("FreezeWorkers=%d shard %d: %v", workers, i, err)
 			}
 		}

@@ -284,8 +284,12 @@ func TestStateLifecycle(t *testing.T) {
 	if res, _ := snap2.FZ.QueryOpts(fup, query.ValidateOpts{}); !res.Precise {
 		t.Fatal("refined FUP still imprecise")
 	}
-	if err := snap2.MS.Validate(false); err != nil {
+	ms, _ := st.CopyIndex()
+	if err := ms.Validate(false); err != nil {
 		t.Fatalf("refined shard index invalid: %v", err)
+	}
+	if err := snap2.FZ.CheckAgainst(ms); err != nil {
+		t.Fatalf("published view is not the writer's index: %v", err)
 	}
 	if st.Refine(fup, query.ValidateOpts{}) {
 		t.Fatal("re-refining a supported FUP published a snapshot")
@@ -300,7 +304,7 @@ func TestStateLifecycle(t *testing.T) {
 	if st.Generation() != 2 {
 		t.Fatalf("generation %d after retire, want 2", st.Generation())
 	}
-	if st.Snapshot().MS.HasFUP(fup) {
+	if len(st.SupportedFUPs()) != 0 {
 		t.Fatal("retired FUP still registered")
 	}
 	if st.Retire(fup) {

@@ -12,13 +12,13 @@ import (
 	"mrx/internal/query"
 )
 
-// Snap is one immutable generation of a shard's served index: the mutable
-// M*(k) refinement state (never mutated once published — the next writer
-// clones it) and the frozen CSR view every query reads. Node IDs inside
-// both are shard-local; the owner maps answers through Shard.ToGlobal.
+// Snap is one immutable generation of a shard's served index: the frozen
+// CSR view every query reads. The mutable M*(k) it was frozen from is not
+// part of it; that index belongs to the shard's writer (State), which
+// refines it in place. Node IDs are shard-local; the owner maps answers
+// through Shard.ToGlobal.
 type Snap struct {
 	Gen uint64
-	MS  *core.MStar
 	FZ  *core.FrozenMStar
 
 	// Serve is the view queries should read: the trusted zero-copy
@@ -41,9 +41,10 @@ func (s *Snap) Serving() *core.FrozenMStar {
 	return s.FZ
 }
 
-// State owns one shard's snapshot lifecycle: a write lock serializing
-// refinement and retirement on this shard only, an atomic pointer readers
-// load without blocking, and freeze telemetry. Writers on different shards
+// State owns one shard's snapshot lifecycle: the writer's mutable M*(k)
+// and a write lock serializing refinement and retirement of it on this
+// shard only, an atomic pointer to the frozen generation readers load
+// without blocking, and freeze telemetry. Writers on different shards
 // never contend — that independence is the point of the partition. It is
 // the only snapshot lifecycle in the module: the monolithic engine is a
 // single State over a whole-graph shard.
@@ -56,8 +57,13 @@ type State struct {
 	shard *Shard
 	opts  core.MStarOptions // serving options, reused for trusted reopens
 
-	mu   sync.Mutex // serializes writers on this shard
-	snap atomic.Pointer[Snap]
+	mu sync.Mutex // serializes writers on this shard
+	// ms is the writer's index, refined in place under mu; no reader ever
+	// sees it. frozenAt is its version vector when the current snapshot's
+	// FZ was frozen from it.
+	ms       *core.MStar
+	frozenAt []uint64
+	snap     atomic.Pointer[Snap]
 
 	// persistPath, when non-empty, routes every published generation
 	// through an atomic on-disk republish (mmapstore.Publish) followed by a
@@ -81,9 +87,8 @@ type State struct {
 // NewState builds the shard's mutable M*(k)-index at component I0. Call
 // FreezeInitial before serving.
 func NewState(sh *Shard, opts core.MStarOptions) *State {
-	st := &State{shard: sh, opts: opts}
-	ms := core.NewMStarOpts(sh.local, opts)
-	st.snap.Store(&Snap{MS: ms}) // FZ nil until FreezeInitial
+	st := &State{shard: sh, opts: opts, ms: core.NewMStarOpts(sh.local, opts)}
+	st.snap.Store(&Snap{}) // FZ nil until FreezeInitial
 	return st
 }
 
@@ -112,10 +117,11 @@ func (st *State) PersistErr() error {
 	return st.persistErr
 }
 
-// publishLocked publishes next as the shard's current generation, routing
-// it through the persist target first when one is configured. Callers hold
-// st.mu.
+// publishLocked publishes next, frozen from st.ms, as the shard's current
+// generation, routing it through the persist target first when one is
+// configured. Callers hold st.mu.
 func (st *State) publishLocked(next *Snap) {
+	st.frozenAt = st.ms.Versions()
 	next.Serve = next.FZ
 	if st.persistPath != "" {
 		if serve, err := st.republish(next.FZ); err != nil {
@@ -150,6 +156,24 @@ func (st *State) Shard() *Shard { return st.shard }
 // Snapshot returns the current generation. The result is immutable.
 func (st *State) Snapshot() *Snap { return st.snap.Load() }
 
+// CopyIndex returns a deep copy of the writer's M*(k)-index and the
+// generation frozen from it, both taken under the shard's write lock so the
+// pair is consistent. The copy is the caller's: the writer keeps refining
+// its own index in place.
+func (st *State) CopyIndex() (*core.MStar, *Snap) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.ms.Clone(), st.snap.Load()
+}
+
+// SupportedFUPs returns the shard's FUP registry sorted by canonical form,
+// read under the write lock.
+func (st *State) SupportedFUPs() []*pathexpr.Expr {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.ms.SupportedFUPs()
+}
+
 // Generation reports how many snapshots this shard has published since
 // FreezeInitial.
 func (st *State) Generation() uint64 { return st.snap.Load().Gen }
@@ -161,9 +185,8 @@ func (st *State) Generation() uint64 { return st.snap.Load().Gen }
 func (st *State) FreezeInitial() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	cur := st.snap.Load()
-	fz := st.timedFreeze(func() *core.FrozenMStar { return cur.MS.Freeze() })
-	st.publishLocked(&Snap{Gen: cur.Gen, MS: cur.MS, FZ: fz})
+	fz := st.timedFreeze(st.ms.Freeze)
+	st.publishLocked(&Snap{Gen: st.snap.Load().Gen, FZ: fz})
 }
 
 // timedFreeze runs one freeze under the shard's freeze telemetry. Callers
@@ -187,53 +210,54 @@ func (st *State) FreezeStats() (count uint64, last, total time.Duration) {
 }
 
 // Refine supports the FUP e on this shard: evaluate against the current
-// frozen snapshot, REFINE* a private clone, re-freeze only the components
-// the refinement dirtied (FreezeReusing), and publish the next generation.
-// It locks only this shard and reports whether a snapshot was published.
-// A FUP already in the registry, an already-precise answer, or an unchanged
-// version vector (a MaxK cap or a descendant-axis FUP made refinement a
-// no-op) publishes nothing: no probe, clone or freeze runs for a registry
-// hit.
+// frozen snapshot, REFINE* the writer's index in place, re-freeze only the
+// components whose version moved (FreezeReusing), and publish the next
+// generation. It locks only this shard and reports whether a snapshot was
+// published. A FUP already in the registry, an already-precise answer, or
+// an unchanged version vector (a MaxK cap or a descendant-axis FUP made
+// refinement a no-op) publishes nothing; a no-op also leaves e out of the
+// registry.
 func (st *State) Refine(e *pathexpr.Expr, opt query.ValidateOpts) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
-	cur := st.snap.Load()
-	if cur.MS.HasFUP(e) {
+	if st.ms.HasFUP(e) {
 		return false
 	}
+	cur := st.snap.Load()
 	res, _ := cur.FZ.QueryOpts(e, opt)
 	if res.Precise {
 		return false
 	}
-	clone := cur.MS.Clone()
-	clone.Refine(e, res.Answer)
-	if clone.UnchangedSince(cur.MS) {
+	st.ms.Refine(e, res.Answer)
+	if st.ms.UnchangedSince(st.frozenAt) {
+		st.ms.ForgetFUP(e)
 		return false
 	}
 	if st.RefineHook != nil {
 		st.RefineHook()
 	}
-	fz := st.timedFreeze(func() *core.FrozenMStar { return clone.FreezeReusing(cur.MS, cur.FZ) })
-	st.publishLocked(&Snap{Gen: cur.Gen + 1, MS: clone, FZ: fz})
+	fz := st.timedFreeze(func() *core.FrozenMStar { return st.ms.FreezeReusing(st.frozenAt, cur.FZ) })
+	st.publishLocked(&Snap{Gen: cur.Gen + 1, FZ: fz})
 	return true
 }
 
 // Retire withdraws support for e on this shard by rebuilding from the
-// surviving FUP registry (core.Retire) and publishing the rebuild as a new
-// generation. Retiring an expression this shard never refined is a no-op.
+// surviving FUP registry (core.Retire), swapping the rebuild in as the
+// writer's index and publishing it as a new generation. Retiring an
+// expression this shard never refined is a no-op.
 func (st *State) Retire(e *pathexpr.Expr) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
-	cur := st.snap.Load()
-	rebuilt, ok := cur.MS.Retire(e)
+	rebuilt, ok := st.ms.Retire(e)
 	if !ok {
 		return false
 	}
+	st.ms = rebuilt
 	// The rebuild starts from a fresh I0; nothing of the outgoing frozen
 	// view survives to reuse.
 	fz := st.timedFreeze(rebuilt.Freeze)
-	st.publishLocked(&Snap{Gen: cur.Gen + 1, MS: rebuilt, FZ: fz})
+	st.publishLocked(&Snap{Gen: st.snap.Load().Gen + 1, FZ: fz})
 	return true
 }
