@@ -48,9 +48,9 @@ func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) { return engine.Ne
 // Engine's.
 type ShardedEngine = engine.Sharded
 
-// ShardedEngineOptions configures a ShardedEngine: the desired shard count,
-// the freeze worker pool, and the same index/validation options as
-// EngineOptions.
+// ShardedEngineOptions configures a ShardedEngine: the desired shard count
+// and the same index/validation options as EngineOptions, whose Parallelism
+// also bounds the shard and component freeze fan-out.
 type ShardedEngineOptions = engine.ShardedOptions
 
 // ShardStats is the per-shard slice of a ShardedEngine's EngineStats.

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"mrx/internal/graph"
 	"mrx/internal/index"
@@ -30,7 +32,8 @@ type FrozenMStar struct {
 	opts  MStarOptions
 }
 
-// Freeze flattens every component into an immutable snapshot.
+// Freeze flattens every component into an immutable snapshot, on up to
+// Options().Parallelism goroutines (see FreezeReusing).
 func (ms *MStar) Freeze() *FrozenMStar {
 	return ms.FreezeReusing(nil, nil)
 }
@@ -52,14 +55,42 @@ func (ms *MStar) Versions() []uint64 {
 // of being re-frozen. base must be the version vector of ms taken when baseFz
 // was frozen from it, with only in-place refinement of ms in between; pass
 // nil, nil to freeze everything.
+//
+// The components whose version moved are frozen on up to
+// Options().Parallelism goroutines; values <= 1 freeze them one after the
+// other. Components freeze independently of each other, so the snapshot is
+// byte-identical for every worker count.
 func (ms *MStar) FreezeReusing(base []uint64, baseFz *FrozenMStar) *FrozenMStar {
 	comps := make([]*index.Frozen, len(ms.comps))
+	var moved []int
 	for i, c := range ms.comps {
 		if i < len(base) && i < len(baseFz.comps) && c.Version() == base[i] {
 			comps[i] = baseFz.comps[i]
 			continue
 		}
-		comps[i] = c.Freeze()
+		moved = append(moved, i)
+	}
+	// Workers claim the moved components finest first: finer components
+	// are the larger ones, so the longest freezes start earliest.
+	var next atomic.Int64
+	freeze := func() {
+		for j := int(next.Add(1)); j <= len(moved); j = int(next.Add(1)) {
+			i := moved[len(moved)-j]
+			comps[i] = ms.comps[i].Freeze()
+		}
+	}
+	if workers := min(ms.opts.Parallelism, len(moved)); workers <= 1 {
+		freeze()
+	} else {
+		var wg sync.WaitGroup
+		for ; workers > 0; workers-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				freeze()
+			}()
+		}
+		wg.Wait()
 	}
 	return &FrozenMStar{data: ms.data, comps: comps, opts: ms.opts}
 }

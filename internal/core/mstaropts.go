@@ -37,7 +37,9 @@ type MStarOptions struct {
 	// Parallelism bounds the validation worker pool used by the query
 	// strategies: extents of under-refined target nodes are partitioned
 	// across up to this many goroutines. Values <= 1 validate sequentially
-	// with the paper's exact cost accounting.
+	// with the paper's exact cost accounting. It bounds the freeze fan-out
+	// the same way: Freeze and FreezeReusing flatten up to this many
+	// components at once, with a snapshot that does not depend on it.
 	Parallelism int
 }
 

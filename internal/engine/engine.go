@@ -41,7 +41,8 @@ type Options struct {
 	// A zero MStar.Parallelism inherits the engine's Parallelism.
 	MStar core.MStarOptions
 
-	// Parallelism bounds the validation worker pool per query. Values <= 0
+	// Parallelism bounds the validation worker pool per query and, through
+	// MStar, the per-component freeze fan-out of each publish. Values <= 0
 	// default to runtime.GOMAXPROCS(0).
 	Parallelism int
 

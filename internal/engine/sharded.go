@@ -26,19 +26,16 @@ type ShardedOptions struct {
 	// is indivisible). Values <= 0 default to runtime.GOMAXPROCS(0).
 	Shards int
 
-	// FreezeWorkers bounds the worker pool that runs shard freezes — the
-	// initial freeze fan-out in NewSharded. Values <= 0 default to
-	// runtime.GOMAXPROCS(0). The served snapshots are byte-identical for
-	// every worker count; only wall-clock changes.
-	FreezeWorkers int
-
 	// MStar configures every shard-local M*(k)-index. A zero
 	// MStar.Parallelism inherits the engine's Parallelism.
 	MStar core.MStarOptions
 
 	// Parallelism bounds the validation worker pool per query, divided
-	// across the shards a query scatters to. Values <= 0 default to
-	// runtime.GOMAXPROCS(0).
+	// across the shards a query scatters to, and every freeze fan-out: the
+	// initial per-shard freezes in NewSharded and, through MStar, the
+	// per-component freezes of each publish. Values <= 0 default to
+	// runtime.GOMAXPROCS(0). The served snapshots are byte-identical for
+	// every value; only wall-clock changes.
 	Parallelism int
 
 	// AutoTune enables adaptive tuning exactly as Options.AutoTune does;
@@ -62,9 +59,6 @@ type ShardedOptions struct {
 func (o ShardedOptions) Validate() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("engine: %w: Shards %d (zero means GOMAXPROCS)", errInvalidOption, o.Shards)
-	}
-	if o.FreezeWorkers < 0 {
-		return fmt.Errorf("engine: %w: FreezeWorkers %d (zero means GOMAXPROCS)", errInvalidOption, o.FreezeWorkers)
 	}
 	return Options{MStar: o.MStar, AutoTune: o.AutoTune, Parallelism: o.Parallelism, Persist: o.Persist}.Validate()
 }
@@ -122,9 +116,6 @@ func newSharded(g *graph.Graph, opts ShardedOptions, fileName string) (*Sharded,
 	if opts.Shards <= 0 {
 		opts.Shards = runtime.GOMAXPROCS(0)
 	}
-	if opts.FreezeWorkers <= 0 {
-		opts.FreezeWorkers = runtime.GOMAXPROCS(0)
-	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -150,7 +141,7 @@ func newSharded(g *graph.Graph, opts ShardedOptions, fileName string) (*Sharded,
 			en.shards[i].EnablePersist(filepath.Join(opts.Persist.Dir, name), opts.Persist.Compact)
 		}
 	}
-	en.freezeAll(opts.FreezeWorkers)
+	en.freezeAll(opts.Parallelism)
 	if opts.Persist != nil {
 		// The initial publishes fail hard: a disk-resident engine that
 		// cannot write its directory is misconfigured, not degraded.

@@ -216,44 +216,63 @@ func TestShardedRefinementsDoNotSerialize(t *testing.T) {
 	}
 }
 
-// shardFingerprint renders every frozen component of every shard to DOT.
-// Byte equality of this rendering is the determinism criterion.
-func shardFingerprint(t *testing.T, en *Sharded) []byte {
+// shardBytes encodes every shard's frozen snapshot in the mmapstore
+// format. Byte equality of the encodings is the determinism criterion.
+func shardBytes(t *testing.T, en *Sharded) [][]byte {
 	t.Helper()
-	var out []byte
-	for i := 0; i < en.NumShards(); i++ {
-		out = append(out, frozenDOT(t, en.ShardState(i).Snapshot().FZ)...)
+	out := make([][]byte, en.NumShards())
+	for i := range out {
+		out[i] = encodeFrozen(t, en.ShardState(i).Snapshot().FZ)
 	}
 	return out
 }
 
-// Parallel per-shard freeze must be deterministic: the same graph, shard
-// count and refinement sequence produce byte-identical shard snapshots for
-// every freeze worker count. Run with -race in CI, this also shakes out
-// data races in the freeze fan-out.
+// Parallel freezes must be deterministic: the same graph, shard count and
+// refinement sequence produce byte-identical shard snapshots after every
+// step for every Parallelism, which bounds both the initial per-shard
+// freeze fan-out and the per-component fan-out of each later publish —
+// Supports and a Retire's full re-freeze alike. Run with -race in CI, this
+// also shakes out data races in both fan-outs.
 func TestShardedFreezeDeterministic(t *testing.T) {
 	g := gtest.New(31, gtest.Options{Nodes: 500, Labels: 6, RefProb: 0.1, Components: 8})
 	workload := gtest.RandomWorkload(32, g, gtest.WorkloadOptions{Size: 12, MaxLen: 3})
 
-	build := func(freezeWorkers int) *Sharded {
-		en := mustSharded(t, g, ShardedOptions{Shards: 4, FreezeWorkers: freezeWorkers, Parallelism: 1})
+	// run returns the shard encodings after the initial freeze, after each
+	// Support, and after retiring the first FUP supported.
+	run := func(parallelism int) [][][]byte {
+		en := mustSharded(t, g, ShardedOptions{Shards: 4, Parallelism: parallelism})
+		steps := [][][]byte{shardBytes(t, en)}
 		for _, w := range workload {
 			en.Support(mustParse(w))
+			steps = append(steps, shardBytes(t, en))
 		}
-		return en
-	}
-	ref := build(1)
-	want := shardFingerprint(t, ref)
-	for _, workers := range []int{4, 8} {
-		en := build(workers)
-		if got := shardFingerprint(t, en); !bytes.Equal(got, want) {
-			t.Fatalf("FreezeWorkers=%d: shard snapshots differ from sequential freeze", workers)
+		fups := en.SupportedFUPs()
+		if len(fups) == 0 || !en.Retire(fups[0]) {
+			t.Fatal("nothing to retire: the workload supported no FUP")
 		}
+		steps = append(steps, shardBytes(t, en))
 		// Frozen views must also agree with their writers' indexes.
+		comps := 0
 		for i := 0; i < en.NumShards(); i++ {
 			ms, snap := en.ShardState(i).CopyIndex()
 			if err := snap.FZ.CheckAgainst(ms); err != nil {
-				t.Fatalf("FreezeWorkers=%d shard %d: %v", workers, i, err)
+				t.Fatalf("Parallelism=%d shard %d: %v", parallelism, i, err)
+			}
+			comps = max(comps, ms.NumComponents())
+		}
+		if comps < 3 {
+			t.Fatalf("no shard grew past %d components: no publish froze several at once", comps)
+		}
+		return steps
+	}
+	want := run(1)
+	for _, p := range []int{4, 8} {
+		got := run(p)
+		for step := range want {
+			for i := range want[step] {
+				if !bytes.Equal(got[step][i], want[step][i]) {
+					t.Fatalf("Parallelism=%d step %d shard %d: snapshot differs from sequential freeze", p, step, i)
+				}
 			}
 		}
 	}
@@ -263,7 +282,6 @@ func TestShardedOptionsValidate(t *testing.T) {
 	g := gtest.New(3, gtest.Options{Nodes: 20, Labels: 3})
 	for _, o := range []ShardedOptions{
 		{Shards: -1},
-		{FreezeWorkers: -2},
 		{Parallelism: -1},
 		{MStar: core.MStarOptions{Strategy: "bogus"}},
 	} {

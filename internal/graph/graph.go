@@ -77,11 +77,10 @@ type Graph struct {
 }
 
 // newGraph wires a Graph around its child CSR, each child list strictly
-// ascending; Freeze, Induce and FromCSR all build through it. Its counting
-// transpose visits sources in ascending order, appending each to its
-// children's parent lists, so every parent list comes out ascending.
+// ascending; Freeze, Induce and FromCSR all build through it. The parent
+// CSR is the counting Transpose of the child CSR, so every parent list
+// comes out ascending.
 func newGraph(labels []string, labelIDs map[string]LabelID, nodeLabel []LabelID, childStart []int32, children []NodeID, childKind []EdgeKind) *Graph {
-	n := len(nodeLabel)
 	g := &Graph{
 		labels:     labels,
 		labelIDs:   labelIDs,
@@ -96,25 +95,35 @@ func newGraph(labels []string, labelIDs map[string]LabelID, nodeLabel []LabelID,
 			g.numRef++
 		}
 	}
-	// Counting c's in-degree at start[c+2] makes start[c+1] c's first
-	// parent slot after the prefix sum; the fill advances it to c's end,
-	// which is c+1's start, so start[:n+1] ends up as the parent offsets.
-	start := make([]int32, n+2)
-	for _, c := range children {
-		start[c+2]++
+	g.parentStart, g.parents = Transpose(childStart, children)
+	return g
+}
+
+// Transpose reverses a CSR adjacency over len(start)-1 nodes: adj[start[v]:
+// start[v+1]] are v's out-neighbours, and the result lists every node's
+// in-neighbours the same way. It is a counting transpose that visits
+// sources in ascending order, appending each to its targets' lists, so
+// every returned list is ascending whatever the order of the input lists.
+func Transpose[ID ~int32](start []int32, adj []ID) ([]int32, []ID) {
+	n := len(start) - 1
+	// Counting c's in-degree at rstart[c+2] makes rstart[c+1] c's first
+	// slot after the prefix sum; the fill advances it to c's end, which is
+	// c+1's start, so rstart[:n+1] ends up as the reversed offsets.
+	rstart := make([]int32, n+2)
+	for _, c := range adj {
+		rstart[c+2]++
 	}
 	for i := 2; i < n+2; i++ {
-		start[i] += start[i-1]
+		rstart[i] += rstart[i-1]
 	}
-	g.parents = make([]NodeID, len(children))
+	radj := make([]ID, len(adj))
 	for v := 0; v < n; v++ {
-		for _, c := range children[childStart[v]:childStart[v+1]] {
-			g.parents[start[c+1]] = NodeID(v)
-			start[c+1]++
+		for _, c := range adj[start[v]:start[v+1]] {
+			radj[rstart[c+1]] = ID(v)
+			rstart[c+1]++
 		}
 	}
-	g.parentStart = start[:n+1]
-	return g
+	return rstart[:n+1], radj
 }
 
 // FromCSR builds a graph, keeping the slices, from a label table whose

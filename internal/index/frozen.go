@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"slices"
 
 	"mrx/internal/graph"
 )
@@ -23,7 +22,8 @@ type FrozenID int32
 //   - a dense live-node renumbering (FrozenID), with Retired mapping each
 //     frozen node back to its NodeID in the mutable graph;
 //   - one extent arena holding every extent back to back, with offsets;
-//   - CSR child and parent adjacency over FrozenIDs, sorted ascending;
+//   - CSR child and parent adjacency over FrozenIDs, sorted ascending by
+//     construction (Freeze derives both by counting transposes, no sort);
 //   - per-label node ranges, sorted ascending within each label;
 //   - the data-node -> frozen-node ownership array.
 //
@@ -56,6 +56,13 @@ type Frozen struct {
 // Freeze flattens the live part of the index graph into an immutable CSR
 // snapshot. Live nodes are renumbered densely in ascending NodeID order, so
 // two structurally identical graphs freeze to identical snapshots.
+//
+// Adjacency is counted, not sorted: each live node's child map is walked
+// once, in ascending FrozenID order, into an unsorted child CSR. Its
+// counting transpose (graph.Transpose) lists every node's parents
+// ascending, and transposing those back lists its children ascending — the
+// only map freezing reads is the child set, which is why Freeze lives on
+// the write side of the split.
 func (ig *Graph) Freeze() *Frozen {
 	fz := &Frozen{data: ig.data, version: ig.version}
 	liveOf := make([]FrozenID, len(ig.nodes)) // retired NodeID -> FrozenID
@@ -76,10 +83,8 @@ func (ig *Graph) Freeze() *Frozen {
 	nLive := len(fz.retired)
 	fz.extentStart = make([]int32, nLive+1)
 	fz.extentArena = make([]graph.NodeID, 0, arena)
-	fz.childStart = make([]int32, nLive+1)
-	fz.children = make([]FrozenID, 0, ig.liveEdges)
-	fz.parentStart = make([]int32, nLive+1)
-	fz.parents = make([]FrozenID, 0, ig.liveEdges)
+	childStart := make([]int32, nLive+1)
+	children := make([]FrozenID, 0, ig.liveEdges)
 	fz.nodeOf = make([]FrozenID, ig.data.NumNodes())
 	for li, id := range fz.retired {
 		n := ig.nodes[id]
@@ -88,29 +93,17 @@ func (ig *Graph) Freeze() *Frozen {
 		for _, o := range n.extent {
 			fz.nodeOf[o] = FrozenID(li)
 		}
-		fz.childStart[li] = int32(len(fz.children))
-		fz.children = appendSortedIDs(fz.children, n.children, liveOf)
-		fz.parentStart[li] = int32(len(fz.parents))
-		fz.parents = appendSortedIDs(fz.parents, n.parents, liveOf)
+		childStart[li] = int32(len(children))
+		for c := range n.children {
+			children = append(children, liveOf[c])
+		}
 	}
 	fz.extentStart[nLive] = int32(len(fz.extentArena))
-	fz.childStart[nLive] = int32(len(fz.children))
-	fz.parentStart[nLive] = int32(len(fz.parents))
+	childStart[nLive] = int32(len(children))
+	fz.parentStart, fz.parents = graph.Transpose(childStart, children)
+	fz.childStart, fz.children = graph.Transpose(fz.parentStart, fz.parents)
 	fz.buildLabelRanges(ig.data.NumLabels())
 	return fz
-}
-
-// appendSortedIDs maps one adjacency set through the renumbering and appends
-// it in ascending FrozenID order — the only place freezing touches a map,
-// which is why it lives on the write side of the split.
-func appendSortedIDs(dst []FrozenID, set map[NodeID]struct{}, liveOf []FrozenID) []FrozenID {
-	at := len(dst)
-	for id := range set {
-		dst = append(dst, liveOf[id])
-	}
-	s := dst[at:]
-	slices.Sort(s)
-	return dst
 }
 
 // buildLabelRanges counting-sorts the frozen nodes by label; within one

@@ -189,8 +189,10 @@ func (st *State) FreezeInitial() {
 	st.publishLocked(&Snap{Gen: st.snap.Load().Gen, FZ: fz})
 }
 
-// timedFreeze runs one freeze under the shard's freeze telemetry. Callers
-// hold st.mu.
+// timedFreeze runs one freeze under the shard's freeze telemetry: the
+// wall-clock of the whole freeze, including its per-component fan-out
+// (core.MStar.FreezeReusing), not the sum of the components' freeze times.
+// Callers hold st.mu.
 func (st *State) timedFreeze(freeze func() *core.FrozenMStar) *core.FrozenMStar {
 	start := time.Now()
 	fz := freeze()
@@ -202,7 +204,8 @@ func (st *State) timedFreeze(freeze func() *core.FrozenMStar) *core.FrozenMStar 
 }
 
 // FreezeStats reports the number of freezes this shard has run and the
-// last / cumulative freeze wall-clock.
+// last / cumulative freeze wall-clock, each freeze timed end to end across
+// its component fan-out.
 func (st *State) FreezeStats() (count uint64, last, total time.Duration) {
 	return st.freezes.Load(),
 		time.Duration(st.lastFreezeNs.Load()),

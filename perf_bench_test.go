@@ -5,6 +5,7 @@ package mrx_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mrx"
@@ -118,14 +119,27 @@ func BenchmarkFrozenMStarTopDown(b *testing.B) {
 
 // BenchmarkFreezeMStar measures flattening a refined M*(k)-index into its
 // frozen read-path view — the full-freeze cost an engine pays at worst per
-// publish (incremental publishes re-freeze only dirtied components).
+// publish (incremental publishes re-freeze only dirtied components). The
+// index supports publishFUPs, so it has components I0–I3; "seq" freezes
+// them one after the other, "par" on up to GOMAXPROCS goroutines, as the
+// engines do.
 func BenchmarkFreezeMStar(b *testing.B) {
 	g := mrx.XMarkGraph(0.1, 1)
-	ms := core.NewMStar(g)
-	ms.Support(mrx.MustParsePath("//open_auction/bidder/personref/person/name"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ms.Freeze()
+	for _, arm := range []struct {
+		name        string
+		parallelism int
+	}{{"seq", 1}, {"par", runtime.GOMAXPROCS(0)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			ms := core.NewMStarOpts(g, core.MStarOptions{Parallelism: arm.parallelism})
+			for _, f := range publishFUPs {
+				ms.Support(f)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ms.Freeze()
+			}
+		})
 	}
 }
 
@@ -159,7 +173,8 @@ func BenchmarkEnginePublish(b *testing.B) {
 }
 
 // publishFUPs are the FUPs BenchmarkEnginePublish's refined arm supports
-// before the timed Support; together they materialize components I0–I3.
+// before the timed Support, and the index BenchmarkFreezeMStar freezes;
+// together they materialize components I0–I3.
 var publishFUPs = []*mrx.PathExpr{
 	mrx.MustParsePath("//open_auction/bidder/personref"),
 	mrx.MustParsePath("//person/profile/interest"),
