@@ -13,7 +13,7 @@
 // Disk-resident serving (see cmd/mrsnap and internal/mmapstore):
 //
 //	mrserve -graph g.bin -index-file snap.mrx              # checksummed + deep-verified, ~1ms per component per 100k nodes
-//	mrserve -graph g.bin -index-file snap.mrx -trust-index # skip verification: O(1) open of a file you published
+//	mrserve -graph g.bin -index-file snap.mrx -trust-index # skip verification: O(index nodes) open of a file you published
 //	mrserve -dataset xmark -snapshot-dir /var/mrx          # persist every generation
 //
 // Endpoints:
@@ -55,7 +55,7 @@ func main() {
 	in := flag.String("in", "", "serve this XML file instead of a generated dataset")
 	graphIn := flag.String("graph", "", "load the data graph from this binary graph file (mrsnap -graph-out)")
 	indexFile := flag.String("index-file", "", "serve read-only from this memory-mapped snapshot (cmd/mrsnap) instead of building an index")
-	trustIndex := flag.Bool("trust-index", false, "skip checksums and the deep structural walk when opening -index-file: O(1) instead of linear (mrsnap -verify prints what the walk costs, typically milliseconds); only for files you published yourself")
+	trustIndex := flag.Bool("trust-index", false, "skip checksums and the deep structural walk when opening -index-file: linear in the index nodes instead of in the file and data graph (mrsnap -verify prints what the walk costs, typically milliseconds); only for files you published yourself")
 	snapshotDir := flag.String("snapshot-dir", "", "persist every published engine generation to this directory as memory-mapped snapshots and serve from the mapped views")
 	snapshotCompact := flag.Bool("snapshot-compact", false, "delta-compress extent arenas in -snapshot-dir files")
 	dataset := flag.String("dataset", "xmark", "generated dataset: xmark, nasa or corpus (multi-document)")

@@ -26,10 +26,63 @@ import (
 // ported to the frozen read path; a FrozenMStar configured with them serves
 // top-down instead (identical answers — the strategies differ only in cost
 // profile — and QueryOpts reports the strategy that actually ran).
+//
+// Unlike the mutable index, the frozen view stores the paper's
+// supernode/subnode links: links[i] lists the subnodes in I(i+1) of every
+// node of I(i), so a query changes resolution by walking them (descend)
+// instead of scanning extents.
 type FrozenMStar struct {
 	data  *graph.Graph
 	comps []*index.Frozen
+	links []subLinks
 	opts  MStarOptions
+}
+
+// subLinks is the subnode relation between adjacent components I(i) and
+// I(i+1): the subnodes of I(i) node u are subs[start[u]:start[u+1]], in
+// ascending FrozenID order. Components are nested partitions, so every
+// I(i+1) node is listed exactly once, under its one supernode.
+type subLinks struct {
+	start []int32
+	subs  []index.FrozenID
+}
+
+// of returns the subnodes of u, ascending. The slice aliases the links.
+func (l subLinks) of(u index.FrozenID) []index.FrozenID {
+	return l.subs[l.start[u]:l.start[u+1]]
+}
+
+// newSubLinks lists fine node f under its supernode owner[f] (< coarse) by
+// one counting transpose. Fine nodes are placed in ascending order, so every
+// list comes out ascending without a sort.
+func newSubLinks(owner []index.FrozenID, coarse int) subLinks {
+	// Counting u's subnodes at start[u+2] makes start[u+1] u's first slot
+	// after the prefix sum; the fill advances it to u's end, which is
+	// u+1's start, so start[:coarse+1] ends up as the offsets.
+	start := make([]int32, coarse+2)
+	for _, u := range owner {
+		start[u+2]++
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	subs := make([]index.FrozenID, len(owner))
+	for f, u := range owner {
+		subs[start[u+1]] = index.FrozenID(f)
+		start[u+1]++
+	}
+	return subLinks{start: start[:coarse+1], subs: subs}
+}
+
+// linkFrozen builds the subnode links from coarse to fine, two components
+// frozen from one nested M*(k): the supernode of a fine node is the coarse
+// owner of any member of its extent. It is O(fine nodes).
+func linkFrozen(coarse, fine *index.Frozen) subLinks {
+	owner := make([]index.FrozenID, fine.NumNodes())
+	for f := range owner {
+		owner[f] = coarse.NodeOf(fine.Extent(index.FrozenID(f))[0])
+	}
+	return newSubLinks(owner, coarse.NumNodes())
 }
 
 // Freeze flattens every component into an immutable snapshot, on up to
@@ -59,7 +112,9 @@ func (ms *MStar) Versions() []uint64 {
 // The components whose version moved are frozen on up to
 // Options().Parallelism goroutines; values <= 1 freeze them one after the
 // other. Components freeze independently of each other, so the snapshot is
-// byte-identical for every worker count.
+// byte-identical for every worker count. The subnode links are rebuilt only
+// for pairs of adjacent components of which at least one was re-frozen;
+// the other pairs share baseFz's links.
 func (ms *MStar) FreezeReusing(base []uint64, baseFz *FrozenMStar) *FrozenMStar {
 	comps := make([]*index.Frozen, len(ms.comps))
 	var moved []int
@@ -72,27 +127,45 @@ func (ms *MStar) FreezeReusing(base []uint64, baseFz *FrozenMStar) *FrozenMStar 
 	}
 	// Workers claim the moved components finest first: finer components
 	// are the larger ones, so the longest freezes start earliest.
+	parallelFor(len(moved), ms.opts.Parallelism, func(j int) {
+		i := moved[len(moved)-1-j]
+		comps[i] = ms.comps[i].Freeze()
+	})
+	links := make([]subLinks, len(comps)-1)
+	for i := range links {
+		if baseFz != nil && i < len(baseFz.links) &&
+			comps[i] == baseFz.comps[i] && comps[i+1] == baseFz.comps[i+1] {
+			links[i] = baseFz.links[i]
+			continue
+		}
+		links[i] = linkFrozen(comps[i], comps[i+1])
+	}
+	return &FrozenMStar{data: ms.data, comps: comps, links: links, opts: ms.opts}
+}
+
+// parallelFor runs fn(0), …, fn(n-1) on up to workers goroutines, which
+// claim the indices in ascending order; workers <= 1 runs them one after
+// the other on the calling goroutine.
+func parallelFor(n, workers int, fn func(i int)) {
 	var next atomic.Int64
-	freeze := func() {
-		for j := int(next.Add(1)); j <= len(moved); j = int(next.Add(1)) {
-			i := moved[len(moved)-j]
-			comps[i] = ms.comps[i].Freeze()
+	run := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
 		}
 	}
-	if workers := min(ms.opts.Parallelism, len(moved)); workers <= 1 {
-		freeze()
-	} else {
-		var wg sync.WaitGroup
-		for ; workers > 0; workers-- {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				freeze()
-			}()
-		}
-		wg.Wait()
+	if workers = min(workers, n); workers <= 1 {
+		run()
+		return
 	}
-	return &FrozenMStar{data: ms.data, comps: comps, opts: ms.opts}
+	var wg sync.WaitGroup
+	for ; workers > 0; workers-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
 }
 
 // UnchangedSince reports whether ms still has the component count and
@@ -115,7 +188,8 @@ func (fm *FrozenMStar) Component(i int) *index.Frozen { return fm.comps[i] }
 func (fm *FrozenMStar) Options() MStarOptions { return fm.opts }
 
 // CheckAgainst verifies that every frozen component is an exact flattening
-// of the corresponding component of ms — the frozen ≡ mutable oracle the
+// of the corresponding component of ms, and that the stored subnode links
+// are the relation the extents define — the frozen ≡ mutable oracle the
 // differential tests run after each refine-and-refreeze cycle.
 func (fm *FrozenMStar) CheckAgainst(ms *MStar) error {
 	if fm.NumComponents() != ms.NumComponents() {
@@ -125,6 +199,34 @@ func (fm *FrozenMStar) CheckAgainst(ms *MStar) error {
 	for i, fz := range fm.comps {
 		if err := fz.CheckAgainst(ms.comps[i]); err != nil {
 			return fmt.Errorf("component I%d: %w", i, err)
+		}
+	}
+	return fm.checkLinks()
+}
+
+// checkLinks compares every stored subnode list with its extent scan: the
+// subnodes of u are the fine owners of the members of u's extent.
+func (fm *FrozenMStar) checkLinks() error {
+	if len(fm.links) != len(fm.comps)-1 {
+		return fmt.Errorf("frozen M*(k): %d link levels for %d components", len(fm.links), len(fm.comps))
+	}
+	var want []index.FrozenID
+	for i, l := range fm.links {
+		coarse, fine := fm.comps[i], fm.comps[i+1]
+		if len(l.start) != coarse.NumNodes()+1 || len(l.subs) != fine.NumNodes() {
+			return fmt.Errorf("links I%d→I%d: %d offsets and %d subnodes for %d and %d nodes",
+				i, i+1, len(l.start), len(l.subs), coarse.NumNodes(), fine.NumNodes())
+		}
+		for u := range index.FrozenID(coarse.NumNodes()) {
+			want = want[:0]
+			for _, o := range coarse.Extent(u) {
+				want = append(want, fine.NodeOf(o))
+			}
+			slices.Sort(want)
+			want = slices.Compact(want)
+			if got := l.of(u); !slices.Equal(got, want) {
+				return fmt.Errorf("links I%d→I%d: node %d has subnodes %v, its extent gives %v", i, i+1, u, got, want)
+			}
 		}
 	}
 	return nil
@@ -234,8 +336,7 @@ func (fm *FrozenMStar) queryTopDown(sc *query.Scratch, e *pathexpr.Expr, opt que
 	for i := 1; i < len(e.Steps) && len(cur) > 0; i++ {
 		lvl := min(i, maxLvl)
 		if lvl != prev {
-			spare = descend(spare[:0], &sc.Mark, cur, fm.comps[prev], fm.comps[lvl])
-			cur, spare = spare, cur
+			cur, spare = fm.descend(cur, spare, prev, lvl)
 			res.Cost.IndexNodes += len(cur)
 			prev = lvl
 		}
@@ -276,23 +377,26 @@ func expandStep(dst []index.FrozenID, seen *query.Mark, comp *index.Frozen, data
 	return dst
 }
 
-// descend maps a frontier of coarse-component nodes to their subnodes in the
-// fine component, via extent membership (supernode/subnode links are
-// derived, not stored — same as the mutable index), appending them to dst in
-// ascending order.
-func descend(dst []index.FrozenID, seen *query.Mark, frontier []index.FrozenID, coarse, fine *index.Frozen) []index.FrozenID {
-	seen.Reset(fine.NumNodes())
-	for _, u := range frontier {
-		for _, o := range coarse.Extent(u) {
-			n := fine.NodeOf(o)
-			if !seen.Seen(n) {
-				seen.Set(n)
-				dst = append(dst, n)
-			}
+// descend maps a frontier of distinct I(from) nodes to their subnodes in
+// I(to), from ≤ to, walking the stored links one level at a time. The
+// frontier is read from cur and the levels alternate between cur and spare,
+// so descend returns both buffers: out holds the subnodes in ascending
+// order, free is the other buffer. Distinct nodes of one component have
+// disjoint subnodes (the components are nested partitions), so the walk
+// needs no visited set and costs O(subnodes reached); from == to returns the
+// frontier itself.
+func (fm *FrozenMStar) descend(cur, spare []index.FrozenID, from, to int) (out, free []index.FrozenID) {
+	for _, l := range fm.links[from:to] {
+		spare = spare[:0]
+		for _, u := range cur {
+			spare = append(spare, l.of(u)...)
 		}
+		cur, spare = spare, cur
 	}
-	slices.Sort(dst)
-	return dst
+	if from < to {
+		slices.Sort(cur)
+	}
+	return cur, spare
 }
 
 // querySubpath implements the subpath pre-filtering strategy over frozen
@@ -311,8 +415,7 @@ func (fm *FrozenMStar) querySubpath(sc *query.Scratch, e *pathexpr.Expr, start, 
 
 	lvl := fm.planner().clampLevel(e.RequiredK())
 	comp := fm.comps[lvl]
-	cur := descend(sc.Spare[:0], &sc.Mark, coarseHits, fm.comps[subLvl], comp)
-	spare := coarseHits
+	cur, spare := fm.descend(coarseHits, sc.Spare, subLvl, lvl)
 	res.Cost.IndexNodes += len(cur)
 
 	// Verify the full prefix e[0..end] backwards from the candidates, keeping

@@ -19,10 +19,13 @@ import (
 // Components are created lazily: supporting a FUP of length k materializes
 // components up to Ik by copying the finest existing one.
 //
-// Supernode/subnode links are derived rather than stored: component extents
-// are nested partitions, so the supernode of v in a coarser component is the
-// node owning any member of v's extent. Size metrics apply the paper's
-// deduplicated accounting (DedupNodes/DedupEdges).
+// This mutable index derives supernode/subnode links rather than storing
+// them: component extents are nested partitions, so the supernode of v in a
+// coarser component is the node owning any member of v's extent. Links that
+// change on every split would cost the writer upkeep; the frozen view it
+// publishes (FrozenMStar) stores the subnode links, built once per freeze,
+// so queries descend without scanning extents. Size metrics apply the
+// paper's deduplicated accounting (DedupNodes/DedupEdges).
 type MStar struct {
 	data  *graph.Graph
 	comps []*index.Graph

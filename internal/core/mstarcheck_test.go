@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,45 +72,55 @@ func TestMStarValidatorCatchesViolations(t *testing.T) {
 }
 
 // Reassembling an M*(k) from loaded components rejects an empty list, a
-// component over a foreign data graph and non-nested components, and
-// round-trips a legitimate component list.
+// component over a foreign data graph and, when verifying, non-nested
+// components, and round-trips a legitimate component list in both modes.
 func TestMStarFromComponentsErrors(t *testing.T) {
 	g := graph.PaperFigure7()
 	ms := NewMStar(g)
 	ms.Support(mustParse("//b/a/c"))
 	fm := ms.Freeze()
 
-	if _, err := AssembleFrozenMStar(g, nil, MStarOptions{}); err == nil {
+	if _, err := AssembleFrozenMStar(g, nil, MStarOptions{}, true); err == nil {
 		t.Error("empty component list accepted")
 	}
 
 	other := NewMStar(graph.PaperFigure1()).Freeze()
-	if _, err := AssembleFrozenMStar(g, []*index.Frozen{other.Component(0)}, MStarOptions{}); err == nil {
+	if _, err := AssembleFrozenMStar(g, []*index.Frozen{other.Component(0)}, MStarOptions{}, true); err == nil {
 		t.Error("component over different graph accepted")
 	}
 
 	// Components out of order violate the refinement nesting.
-	bad, err := AssembleFrozenMStar(g, []*index.Frozen{fm.Component(2), fm.Component(0)}, MStarOptions{})
+	if _, err := AssembleFrozenMStar(g, []*index.Frozen{fm.Component(2), fm.Component(0)}, MStarOptions{}, true); err == nil ||
+		!strings.Contains(err.Error(), "spans two I0 extents") {
+		t.Errorf("non-nested components accepted: %v", err)
+	}
+
+	// Even a trusted assembly reads no extent it has not bounds-checked:
+	// I1 node 0 given an empty extent is an error, not a panic.
+	a := fm.Component(1).Arrays()
+	a.ExtentStart = slices.Clone(a.ExtentStart)
+	a.ExtentStart[1] = a.ExtentStart[0]
+	empty, err := index.FrozenFromArrays(g, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bad.VerifyNesting(); err == nil {
-		t.Error("non-nested components accepted")
+	if _, err := AssembleFrozenMStar(g, []*index.Frozen{fm.Component(0), empty}, MStarOptions{}, false); err == nil ||
+		!strings.Contains(err.Error(), "component I1 node 0 has an empty or out-of-range extent") {
+		t.Errorf("trusted assembly over an empty extent: %v", err)
 	}
 
-	// The legitimate component list round-trips.
+	// The legitimate component list round-trips, verified or trusted.
 	comps := make([]*index.Frozen, fm.NumComponents())
 	for i := range comps {
 		comps[i] = fm.Component(i)
 	}
-	got, err := AssembleFrozenMStar(g, comps, MStarOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.VerifyNesting(); err != nil {
-		t.Errorf("nested components rejected: %v", err)
-	}
-	if err := got.CheckAgainst(ms); err != nil {
-		t.Errorf("reassembled index differs: %v", err)
+	for _, verify := range []bool{true, false} {
+		got, err := AssembleFrozenMStar(g, comps, MStarOptions{}, verify)
+		if err != nil {
+			t.Fatalf("verify=%v: %v", verify, err)
+		}
+		if err := got.CheckAgainst(ms); err != nil {
+			t.Errorf("verify=%v: reassembled index differs: %v", verify, err)
+		}
 	}
 }

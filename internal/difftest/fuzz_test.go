@@ -13,7 +13,10 @@ import (
 // evaluator, or any violated invariant after a refinement step, fails.
 //
 // Parameters are plain integers so corpus entries stay trivial to author
-// and to read back when a failure reproduces.
+// and to read back when a failure reproduces. The committed corpus
+// (testdata/fuzz/FuzzDifferential) names the cases it was picked for: the
+// subpath-* entries make the frozen subpath strategy descend across two or
+// more components, and across none.
 func FuzzDifferential(f *testing.F) {
 	f.Add(int64(1), int64(0))
 	f.Add(int64(7), int64(5))      // tree shape, skewed labels

@@ -164,7 +164,8 @@ func BuildPaths(g *graph.Graph, fups []*pathexpr.Expr, o PathsOptions) ([]*Servi
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, frozenPath(g), mmapPath(g), ep, shp)
+	out = append(out, frozenPath(g, core.StrategyTopDown), frozenPath(g, core.StrategySubpath),
+		mmapPath(g), ep, shp)
 	return out, nil
 }
 
@@ -188,12 +189,18 @@ func (v frozenView) CountCtx(_ context.Context, e *pathexpr.Expr) (query.Result,
 // lifecycle (including cross-generation component reuse via FreezeReusing)
 // in isolation: Support refines the twin in place and re-freezes only the
 // components whose version moved; Check proves the served snapshot is an
-// exact flattening of the mutable index it was frozen from.
-func frozenPath(g *graph.Graph) *ServingPath {
-	ms := core.NewMStar(g)
+// exact flattening of the mutable index it was frozen from. The engines
+// serve top-down; the subpath instance covers the frozen strategy whose
+// descents may cross several components at once, or none.
+func frozenPath(g *graph.Graph, strategy core.Strategy) *ServingPath {
+	ms := core.NewMStarOpts(g, core.MStarOptions{Strategy: strategy})
 	fz := ms.Freeze()
+	name := "frozen"
+	if strategy != core.StrategyTopDown {
+		name += "/" + strategy
+	}
 	return &ServingPath{
-		Name:    "frozen",
+		Name:    name,
 		Querier: frozenView(func() *core.FrozenMStar { return fz }),
 		Support: func(e *pathexpr.Expr) {
 			res, _ := fz.QueryOpts(e, query.ValidateOpts{})

@@ -113,8 +113,9 @@ func benchSnapFile(b *testing.B, bi *benchIndex) string {
 //     — linear in index plus data-graph size too (one pass per component,
 //     components in parallel), streaming over mapped bytes with no
 //     allocation proportional to the extents.
-//   - mmap-trusted: Open with Trusted — header, directory and aliasing
-//     only, so cost is O(components) no matter how large the file is.
+//   - mmap-trusted: Open with Trusted — header, directory and aliasing,
+//     plus the bounds-checked pass that builds the subnode links, so cost
+//     is linear in the index nodes, not in the file or the data graph.
 //
 // The subjects are random graphs across three sizes plus XMark, unrefined
 // and refined (see benchXMark).

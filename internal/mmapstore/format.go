@@ -32,12 +32,14 @@
 //
 // Safety model: Open fully verifies untrusted files by default — directory
 // and per-section checksums, then a deep structural walk
-// (index.Frozen.Verify, FrozenMStar.VerifyNesting) — so a truncated,
-// bit-flipped, or adversarial file is rejected with an error, never a
-// panic, over-read, or silently wrong answer. The whole check is linear in
-// the file plus the data graph and runs one component per core.
-// Options.Trusted skips the checksums and the deep walk for files the
-// process just published itself, keeping reopen O(1).
+// (index.Frozen.Verify, then the nesting check of
+// core.AssembleFrozenMStar) — so a truncated, bit-flipped, or adversarial
+// file is rejected with an error, never a panic, over-read, or silently
+// wrong answer. The whole check is linear in the file plus the data graph
+// and runs one component per core. Options.Trusted skips the checksums and
+// the deep walk for files the process just published itself, keeping
+// reopen linear in the index nodes alone (the subnode links are built at
+// assembly, bounds-checked).
 package mmapstore
 
 import (

@@ -178,6 +178,47 @@ func TestCorruptionRejected(t *testing.T) {
 	}
 }
 
+// A trusted open skips the checksums and the deep walk but still builds the
+// subnode links, so damage in what linking reads — a fine extent's first
+// member, or its coarse owner — must fail the open with an error naming the
+// component, never panic there or at query time.
+func TestTrustedOpenRejectsBadLinks(t *testing.T) {
+	g, fm, _ := testIndex(t, 11)
+	path := filepath.Join(t.TempDir(), "snap.mrx")
+	if err := Publish(path, fm, WriteOptions{}); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	enc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int32(g.NumNodes())
+	for _, tc := range []struct {
+		name       string
+		comp, kind int
+		val        int32
+		want       string
+	}{
+		{"arena entry past the data graph", 1, secExtentArena, n, "component I1 node 0: extent holds data node"},
+		{"negative arena entry", 1, secExtentArena, -1, "component I1 node 0: extent holds data node -1"},
+		{"owner past the coarse component", 0, secNodeOf, 1 << 20, "component I1 node 0: supernode 1048576"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, corruptSection(t, enc, tc.comp, tc.kind, tc.val, false), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := Open(path, g, Options{Trusted: true})
+			if err == nil {
+				snap.Close()
+				t.Fatal("trusted open accepted a snapshot it cannot link")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // inPadding reports whether off falls in alignment padding (bytes between
 // section payloads that no directory entry covers).
 func inPadding(tb testing.TB, enc []byte, off int) bool {

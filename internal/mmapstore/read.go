@@ -18,9 +18,11 @@ import (
 // Options configures snapshot loading.
 type Options struct {
 	// Trusted skips the per-section checksums and the deep structural walk
-	// (index.Frozen.Verify, VerifyNesting), making open O(components)
-	// instead of linear in the file and the data graph. The default full
-	// verification is one pass per component, components in parallel —
+	// (index.Frozen.Verify and the nesting check), making open linear in
+	// the index nodes — core.AssembleFrozenMStar still builds the subnode
+	// links, bounds-checked — instead of in the file and the data graph.
+	// The default full verification is one pass per component, components
+	// in parallel —
 	// about a millisecond per component per 100k data nodes — so Trusted is
 	// an optimization for the engine reopening its own atomic publish many
 	// times a second, not a precondition for a usable cold start. It is only
@@ -97,14 +99,9 @@ func parse(data []byte, g *graph.Graph, o Options) (*core.FrozenMStar, error) {
 	} else if err := lowestError(len(comps), component); err != nil {
 		return nil, err
 	}
-	fm, err := core.AssembleFrozenMStar(g, comps, o.MStar)
+	fm, err := core.AssembleFrozenMStar(g, comps, o.MStar, !o.Trusted)
 	if err != nil {
 		return nil, fmt.Errorf("mmapstore: %w", err)
-	}
-	if !o.Trusted {
-		if err := lowestError(len(comps)-1, func(i int) error { return fm.VerifyNestingAt(i + 1) }); err != nil {
-			return nil, fmt.Errorf("mmapstore: %w", err)
-		}
 	}
 	return fm, nil
 }

@@ -68,7 +68,8 @@ func (s *Snapshot) Close() error {
 // mapping (on platforms without mmap the file is read into memory
 // instead). By default the file is fully verified — checksums plus a deep
 // structural walk — before a view is returned; Options.Trusted reduces
-// open to the O(1) parse for files the process published itself.
+// open to the parse plus the bounds-checked subnode links, O(index nodes),
+// for files the process published itself.
 func Open(path string, g *graph.Graph, o Options) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {

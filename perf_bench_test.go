@@ -105,15 +105,27 @@ func BenchmarkQueryMStarTopDown(b *testing.B) {
 	}
 }
 
+// BenchmarkFrozenMStarTopDown measures one supported (so unvalidated)
+// frozen query that changes resolution on the way: the index supports
+// publishFUPs (components I0–I3), so "top-down" descends I0 → I1 → I2 → I3
+// along the stored subnode links, and "subpath" evaluates its best subpath
+// in I1 and then descends the matches to I3 in one two-level walk.
 func BenchmarkFrozenMStarTopDown(b *testing.B) {
 	g := mrx.XMarkGraph(0.1, 1)
-	ms := core.NewMStar(g)
-	e := mrx.MustParsePath("//person/watches/watch/open_auction/itemref")
-	ms.Support(e)
-	fz := ms.Freeze()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fz.Query(e)
+	e := publishFUPs[2] // //closed_auction/annotation/description/text
+	for _, strat := range []core.Strategy{core.StrategyTopDown, core.StrategySubpath} {
+		b.Run(strat, func(b *testing.B) {
+			ms := core.NewMStarOpts(g, core.MStarOptions{Strategy: strat})
+			for _, f := range publishFUPs {
+				ms.Support(f)
+			}
+			fz := ms.Freeze()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fz.Query(e)
+			}
+		})
 	}
 }
 

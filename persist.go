@@ -21,7 +21,7 @@ func ReadGraph(r io.Reader) (*Graph, error) { return store.ReadGraph(r) }
 type SnapshotWriteOptions = mmapstore.WriteOptions
 
 // SnapshotOpenOptions configures snapshot loading: full verification by
-// default, Trusted for O(1) reopen of self-published files, ForceCopy to
+// default, Trusted for an O(index nodes) reopen of self-published files, ForceCopy to
 // decode instead of taking views.
 type SnapshotOpenOptions = mmapstore.Options
 
