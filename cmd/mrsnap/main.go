@@ -2,7 +2,8 @@
 // snapshot files — the disk-resident serving format of internal/mmapstore.
 // It is the offline half of the disk-resident pipeline: build the index
 // once (optionally refined for a known workload), publish it atomically,
-// and let mrserve map it with -index-file for O(1) cold starts.
+// and let mrserve map it with -index-file for cold starts that map the
+// index instead of rebuilding it.
 //
 // Usage:
 //

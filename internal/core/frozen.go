@@ -422,14 +422,15 @@ func (fm *FrozenMStar) querySubpath(sc *query.Scratch, e *pathexpr.Expr, start, 
 	// the survivors in place; the memo is a flat (node, step) table shared
 	// across candidates, so overlapping ancestor cones are walked once.
 	if end > 0 {
-		memo := newPrefixMemo(comp.NumNodes(), end+1)
+		memo := newPrefixMemo(sc.Memo, comp.NumNodes(), end+1)
 		kept := cur[:0]
 		for _, c := range cur {
-			if fm.hasPrefixInto(comp, c, e.Steps[:end+1], memo, &res.Cost) {
+			if fm.hasPrefixInto(comp, c, e.Steps[:end+1], &memo, &res.Cost) {
 				kept = append(kept, c)
 			}
 		}
 		cur = kept
+		sc.Memo = memo.state
 	}
 
 	for i := end + 1; i < len(e.Steps) && len(cur) > 0; i++ {
@@ -447,8 +448,12 @@ type prefixMemo struct {
 	steps int
 }
 
-func newPrefixMemo(nodes, steps int) *prefixMemo {
-	return &prefixMemo{state: make([]uint8, nodes*steps), steps: steps}
+// newPrefixMemo returns an all-unknown memo over buf, which it grows if it
+// is too small; hand memo.state back to the scratch that lent buf.
+func newPrefixMemo(buf []uint8, nodes, steps int) prefixMemo {
+	buf = slices.Grow(buf[:0], nodes*steps)[:nodes*steps]
+	clear(buf)
+	return prefixMemo{state: buf, steps: steps}
 }
 
 func (m *prefixMemo) at(v index.FrozenID, step int) uint8 { return m.state[int(v)*m.steps+step] }

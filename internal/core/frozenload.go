@@ -18,12 +18,24 @@ import (
 // verify (a trusted reopen) it reads only the first extent member of each
 // fine node and that member's coarse owner, bounds-checked, in one pass: a
 // damaged file fails here with an error naming the component, never with a
-// panic at query time. With verify it also checks the refinement nesting
-// that makes the links exact — every extent of I(i) lies inside one extent
-// of I(i-1), O(total extent size) — with the pairs on up to GOMAXPROCS
-// goroutines; this is the structural half of P4/P5 that a loader can check
-// without materializing mutable graphs. Per-component structural invariants
-// are index.Frozen.Verify's job and must hold before a verified assembly.
+// panic at query time.
+//
+// With verify it proves every component's edges, on up to GOMAXPROCS
+// goroutines, and the components must already have passed
+// index.Frozen.VerifyShape. Only the finest component Ik is checked
+// against the data graph (VerifyCSR). For each adjacent pair, the pass that
+// builds the links also checks the refinement nesting — every extent of
+// I(i) lies inside one extent of I(i-1), which makes the owner map and the
+// links exact — and then checks I(i-1)'s CSR through I(i)'s
+// (VerifyCSRThrough): I(i-1)'s edges must be I(i)'s projected onto their
+// supernodes. By induction from Ik down, every component's CSR is then the
+// one the data graph induces (P2), at O(fine index nodes + fine index
+// edges) per pair instead of O(data nodes + data edges) per component.
+//
+// Errors are resolved finest first: the finest failing check is reported.
+// Every finer check passed, so the component it names really is damaged —
+// a coarser component whose check merely read the damaged one is not
+// blamed. Rejection does not depend on scheduling.
 func AssembleFrozenMStar(g *graph.Graph, comps []*index.Frozen, opts MStarOptions, verify bool) (*FrozenMStar, error) {
 	if len(comps) == 0 {
 		return nil, errors.New("mstar: no frozen components")
@@ -33,17 +45,40 @@ func AssembleFrozenMStar(g *graph.Graph, comps []*index.Frozen, opts MStarOption
 			return nil, fmt.Errorf("mstar: frozen component I%d built over a different data graph", i)
 		}
 	}
-	workers := 1 // a trusted pass reads one member per fine node
-	if verify {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	links := make([]subLinks, len(comps)-1)
-	errs := make([]error, len(links))
-	parallelFor(len(links), workers, func(i int) {
-		links[i], errs[i] = linkLoaded(comps[i], comps[i+1], i+1, verify)
+	if !verify {
+		for i := range links {
+			owner, err := loadOwners(comps[i], comps[i+1], i+1, false)
+			if err != nil {
+				return nil, err
+			}
+			links[i] = newSubLinks(owner, comps[i].NumNodes())
+		}
+		return &FrozenMStar{data: g, comps: comps, links: links, opts: opts}, nil
+	}
+	// Check t covers component last-t, so the checks run and are resolved
+	// finest first, and the one over the data graph — the longest — starts
+	// earliest.
+	last := len(comps) - 1
+	errs := make([]error, len(comps))
+	parallelFor(len(comps), runtime.GOMAXPROCS(0), func(t int) {
+		i := last - t
+		if i == last {
+			if err := comps[i].VerifyCSR(); err != nil {
+				errs[t] = fmt.Errorf("mstar: component I%d: %w", i, err)
+			}
+			return
+		}
+		owner, err := loadOwners(comps[i], comps[i+1], i+1, true)
+		if err != nil {
+			errs[t] = err
+			return
+		}
+		links[i] = newSubLinks(owner, comps[i].NumNodes())
+		if err := comps[i].VerifyCSRThrough(comps[i+1], owner, links[i].start, links[i].subs); err != nil {
+			errs[t] = fmt.Errorf("mstar: component I%d: %w", i, err)
+		}
 	})
-	// The lowest failing pair is what a sequential pass would report, so
-	// rejection does not depend on scheduling.
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -52,10 +87,11 @@ func AssembleFrozenMStar(g *graph.Graph, comps []*index.Frozen, opts MStarOption
 	return &FrozenMStar{data: g, comps: comps, links: links, opts: opts}, nil
 }
 
-// linkLoaded is linkFrozen over loaded arrays, I(i-1) → I(i): every index it
-// reads is bounds-checked first. With nesting it reads every member of each
-// fine extent and checks that they share one coarse owner.
-func linkLoaded(coarse, fine *index.Frozen, i int, nesting bool) (subLinks, error) {
+// loadOwners maps every node of fine = I(i) to its supernode in coarse =
+// I(i-1) over loaded arrays: every index it reads is bounds-checked first.
+// With nesting it reads every member of each fine extent and checks that
+// they share one coarse owner.
+func loadOwners(coarse, fine *index.Frozen, i int, nesting bool) ([]index.FrozenID, error) {
 	fa, nodeOf := fine.Arrays(), coarse.Arrays().NodeOf
 	badMember := func(v int, o graph.NodeID) error {
 		if o < 0 || int(o) >= len(nodeOf) {
@@ -67,24 +103,24 @@ func linkLoaded(coarse, fine *index.Frozen, i int, nesting bool) (subLinks, erro
 	for v := range owner {
 		lo, hi := fa.ExtentStart[v], fa.ExtentStart[v+1]
 		if lo < 0 || hi > int32(len(fa.ExtentArena)) || lo >= hi {
-			return subLinks{}, fmt.Errorf("mstar: component I%d node %d has an empty or out-of-range extent [%d,%d)", i, v, lo, hi)
+			return nil, fmt.Errorf("mstar: component I%d node %d has an empty or out-of-range extent [%d,%d)", i, v, lo, hi)
 		}
 		ext := fa.ExtentArena[lo:hi]
 		if ext[0] < 0 || int(ext[0]) >= len(nodeOf) {
-			return subLinks{}, badMember(v, ext[0])
+			return nil, badMember(v, ext[0])
 		}
 		u := nodeOf[ext[0]]
 		if u < 0 || int(u) >= coarse.NumNodes() {
-			return subLinks{}, fmt.Errorf("mstar: component I%d node %d: supernode %d of %d in I%d", i, v, u, coarse.NumNodes(), i-1)
+			return nil, fmt.Errorf("mstar: component I%d node %d: supernode %d of %d in I%d", i, v, u, coarse.NumNodes(), i-1)
 		}
 		if nesting {
 			for _, o := range ext[1:] {
 				if o < 0 || int(o) >= len(nodeOf) || nodeOf[o] != u {
-					return subLinks{}, badMember(v, o)
+					return nil, badMember(v, o)
 				}
 			}
 		}
 		owner[v] = u
 	}
-	return newSubLinks(owner, coarse.NumNodes()), nil
+	return owner, nil
 }

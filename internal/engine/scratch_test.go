@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"mrx/internal/core"
+	"mrx/internal/datagen"
 	"mrx/internal/graph"
 	"mrx/internal/gtest"
 	"mrx/internal/pathexpr"
@@ -33,6 +35,38 @@ func TestCountCtxAllocs(t *testing.T) {
 		_, _ = en.CountCtx(ctx, e)
 	}); n > 1 {
 		t.Errorf("CountCtx allocates %v times per query, want <= 1", n)
+	}
+}
+
+// A frozen subpath query borrows its backward prefix-check memo from the
+// pooled scratch, like its frontier buffers, so what it allocates is the
+// answer slice alone — whatever the component's size.
+func TestFrozenSubpathAllocs(t *testing.T) {
+	if gtest.RaceEnabled {
+		t.Skip("the race detector drops pooled items and instruments allocation")
+	}
+	g := datagen.XMarkGraph(0.02, 1)
+	ms := core.NewMStarOpts(g, core.MStarOptions{Strategy: core.StrategySubpath})
+	for _, s := range []string{
+		"//open_auction/bidder/personref",
+		"//closed_auction/annotation/description/text",
+		"//category/description/parlist/listitem",
+	} {
+		ms.Support(mustParse(s))
+	}
+	fz := ms.Freeze()
+	// A 4-step FUP over I0..I3 whose best subpath does not start the
+	// expression, so the candidates' prefixes are checked backwards.
+	e := mustParse("//closed_auction/annotation/description/text")
+	res, strat := fz.QueryOpts(e, query.ValidateOpts{})
+	want := query.EvalFrozen(fz.Component(0), e).Answer // validated in I0: exact
+	if strat != core.StrategySubpath || len(want) == 0 || !sameIDs(res.Answer, want) {
+		t.Fatalf("%s ran %s and answered %d nodes, want subpath and %d", e, strat, len(res.Answer), len(want))
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		_, _ = fz.QueryOpts(e, query.ValidateOpts{})
+	}); n > 1 {
+		t.Errorf("a frozen subpath query allocates %v times, want <= 1 (the answer)", n)
 	}
 }
 

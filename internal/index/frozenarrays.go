@@ -136,25 +136,39 @@ func checkBounds(kind string, start []int32, arenaLen int) error {
 // contract, so a Frozen wired over untrusted bytes (FrozenFromArrays over a
 // mapped file) either satisfies exactly the invariants Freeze guarantees or
 // is rejected before it can serve a query — no interior value can cause a
-// panic, an out-of-range access, or a silently wrong answer afterwards:
+// panic, an out-of-range access, or a silently wrong answer afterwards. It
+// is VerifyShape followed by VerifyCSR: O(index nodes + index edges + data
+// nodes + data edges), nothing sorted.
+//
+// A loader holding several nested components needs the data graph for the
+// finest one only: VerifyCSRThrough checks a coarser component's CSR
+// against its finer neighbour instead.
+func (fz *Frozen) Verify() error {
+	if err := fz.VerifyShape(); err != nil {
+		return err
+	}
+	return fz.VerifyCSR()
+}
+
+// VerifyShape checks every part of the contract that the snapshot's own
+// arrays and the data graph's labels decide, in O(index nodes + index edges
+// + data nodes):
 //
 //   - offset arrays are monotone nondecreasing;
 //   - every k is nonnegative, every label in range, Retired strictly
 //     ascending;
 //   - extents are non-empty, strictly ascending, label-homogeneous and a
 //     disjoint cover of the data nodes agreeing with NodeOf;
-//   - the child CSR equals the adjacency induced by the data graph (P2),
-//     and the parent CSR is its exact transpose;
-//   - label buckets are ascending, agree with Labels, and cover every node;
-//   - P3: every edge u→v has k(u) ≥ k(v) − 1.
+//   - every child edge points at a node of the snapshot;
+//   - label buckets are ascending, agree with Labels, and cover every node.
 //
-// The walk is linear — O(index nodes + index edges + data nodes + data
-// edges), nothing sorted, two scratch arrays of one int32 per index node —
-// and reads only this snapshot and the data graph, so a loader may verify
-// the components of one file concurrently.
-func (fz *Frozen) Verify() error {
+// What it leaves to VerifyCSR or VerifyCSRThrough is whether the edges are
+// the right ones (P2), the parent CSR and P3. It reads only this snapshot
+// and the data graph, so a loader may check the components of one file
+// concurrently.
+func (fz *Frozen) VerifyShape() error {
 	n := fz.NumNodes()
-	data := fz.data
+	data, nodeOf := fz.data, fz.nodeOf
 	for _, s := range []struct {
 		kind  string
 		start []int32
@@ -182,19 +196,23 @@ func (fz *Frozen) Verify() error {
 		if len(ext) == 0 {
 			return fmt.Errorf("index: verify: node %d has empty extent", v)
 		}
-		for i, o := range ext {
-			if o < 0 || int(o) >= data.NumNodes() {
+		// nodeOf has one entry per data node (checked at wiring), so its
+		// length is the range check.
+		id, label, prev := FrozenID(v), fz.labels[v], graph.NodeID(-1)
+		for _, o := range ext {
+			if uint(o) >= uint(len(nodeOf)) {
 				return fmt.Errorf("index: verify: node %d extent references data node %d out of range", v, o)
 			}
-			if i > 0 && ext[i-1] >= o {
+			if o <= prev {
 				return fmt.Errorf("index: verify: node %d extent not strictly ascending", v)
 			}
-			if data.Label(o) != fz.labels[v] {
+			if data.Label(o) != label {
 				return fmt.Errorf("index: verify: node %d extent mixes labels", v)
 			}
-			if fz.nodeOf[o] != FrozenID(v) {
-				return fmt.Errorf("index: verify: nodeOf[%d]=%d, extent says %d", o, fz.nodeOf[o], v)
+			if nodeOf[o] != id {
+				return fmt.Errorf("index: verify: nodeOf[%d]=%d, extent says %d", o, nodeOf[o], v)
 			}
+			prev = o
 		}
 	}
 	// The arena length equals NumNodes (checked at wiring) and every member
@@ -203,45 +221,89 @@ func (fz *Frozen) Verify() error {
 	// pigeonhole over the arena length already guarantees. What remains is
 	// nodeOf entries pointing at nodes whose extent doesn't contain them:
 	// caught above unless the entry is out of range entirely.
-	for o, v := range fz.nodeOf {
-		if v < 0 || int(v) >= n {
+	for o, v := range nodeOf {
+		if uint(v) >= uint(n) {
 			return fmt.Errorf("index: verify: nodeOf[%d]=%d out of range", o, v)
 		}
 	}
-	if err := fz.verifyCSR(); err != nil {
-		return err
+	for _, c := range fz.children {
+		if uint(c) >= uint(n) {
+			return fmt.Errorf("index: verify: child edge to %d out of range", c)
+		}
 	}
 	return fz.verifyLabelBuckets()
 }
 
+// VerifyCSR checks the child CSR against the data graph — each node's
+// child list is the set P2 induces, the owners of its extent's data
+// children — together with the parent CSR and P3, in O(index nodes + index
+// edges + data nodes + data edges). VerifyShape must have passed.
+func (fz *Frozen) VerifyCSR() error {
+	return fz.verifyCSR("the data graph", fz.appendInducedChildren)
+}
+
+// VerifyCSRThrough is VerifyCSR for a component that fine refines: each
+// node's child list must equal the supernodes of its subnodes' children,
+// {owner[c] : c ∈ fine.Children(f), f ∈ subnodes(u)}, where owner[f] is the
+// node of fz whose extent holds fine node f's and the subnodes of u are
+// subs[subStart[u]:subStart[u+1]]. It costs O(fine nodes + fine edges +
+// edges of fz) and never touches the data graph.
+//
+// Why that is P2: if fine's extents nest into fz's (owner is well defined)
+// and fine's child CSR is the one the data graph induces, then the extent
+// of u is the union of its subnodes' extents and the fz-owner of a data
+// node is the owner of its fine owner, so the set P2 induces for u is
+// exactly the set above. A loader therefore checks the finest component
+// with VerifyCSR and every coarser one through its finer neighbour, which
+// by induction proves P2 for all of them. Both components must have passed
+// VerifyShape, owner must be in range and subs must list every fine node
+// under its owner.
+func (fz *Frozen) VerifyCSRThrough(fine *Frozen, owner []FrozenID, subStart []int32, subs []FrozenID) error {
+	if len(owner) != fine.NumNodes() || len(subStart) != fz.NumNodes()+1 {
+		return fmt.Errorf("index: verify: %d owners for %d fine nodes, %d subnode offsets for %d nodes",
+			len(owner), fine.NumNodes(), len(subStart), fz.NumNodes())
+	}
+	return fz.verifyCSR("the finer component", func(dst []FrozenID, u FrozenID, stamp []int32) []FrozenID {
+		mark := int32(u) + 1
+		for _, f := range subs[subStart[u]:subStart[u+1]] {
+			for _, c := range fine.Children(f) {
+				if w := owner[c]; stamp[w] != mark {
+					stamp[w] = mark
+					dst = append(dst, w)
+				}
+			}
+		}
+		return dst
+	})
+}
+
 // verifyCSR checks both CSR halves and P3 in one pass over the child edges,
-// in time linear in index plus data edges; offsets, ks and nodeOf must
-// already be verified. Per node u the stored child list must be in range,
-// strictly ascending, as long as the set the data graph induces (P2) and
-// inside it — so equal to it. The parent CSR is checked by transposing with
-// a cursor: edges u→c are walked in ascending u, so the next unmatched slot
-// of c's parent list must hold u, and a list that ends up exactly consumed
-// is c's parents in ascending order, nothing missing and nothing extra.
-func (fz *Frozen) verifyCSR() error {
+// in time linear in index edges plus whatever induce reads; VerifyShape
+// must already have passed. induce appends the child set of u that source
+// induces, stamping each member with u+1 (see appendInducedChildren). Per
+// node u the stored child list must be strictly ascending, as long as the
+// induced set and inside it — so equal to it. The parent CSR is checked by
+// transposing with a cursor: edges u→c are walked in ascending u, so the
+// next unmatched slot of c's parent list must hold u, and a list that ends
+// up exactly consumed is c's parents in ascending order, nothing missing
+// and nothing extra.
+func (fz *Frozen) verifyCSR(source string, induce func(dst []FrozenID, u FrozenID, stamp []int32) []FrozenID) error {
 	n := fz.NumNodes()
 	stamp := make([]int32, n)
 	matched := make([]int32, n) // parent-list entries of each node consumed so far
 	var induced []FrozenID
 	for u := 0; u < n; u++ {
-		induced = fz.appendInducedChildren(induced[:0], FrozenID(u), stamp)
+		induced = induce(induced[:0], FrozenID(u), stamp)
 		stored := fz.Children(FrozenID(u))
 		if len(stored) != len(induced) {
-			return fmt.Errorf("index: verify: node %d has %d child edges, data graph induces %d", u, len(stored), len(induced))
+			return fmt.Errorf("index: verify: node %d has %d child edges, %s induces %d", u, len(stored), source, len(induced))
 		}
 		for i, c := range stored {
-			if c < 0 || int(c) >= n {
-				return fmt.Errorf("index: verify: child edge to %d out of range", c)
-			}
 			if i > 0 && stored[i-1] >= c {
 				return fmt.Errorf("index: verify: node %d child list not strictly ascending", u)
 			}
 			if stamp[c] != int32(u)+1 {
-				return fmt.Errorf("index: verify: child edge %d->%d is not induced by the data graph", u, c)
+				return fmt.Errorf("index: verify: child edge %d->%d is not induced by %s", u, c, source)
 			}
 			if fz.ks[u] < fz.ks[c]-1 {
 				return p3Error(FrozenID(u), c, fz.ks)

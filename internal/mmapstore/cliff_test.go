@@ -7,6 +7,7 @@ import (
 
 	"mrx/internal/core"
 	"mrx/internal/graph"
+	"mrx/internal/pathexpr"
 )
 
 // cliffGraph is the shape that makes anything superlinear in verification
@@ -49,6 +50,11 @@ func cliffGraph(tb testing.TB, wide, fan int) *graph.Graph {
 // under -race). The deadline sits between the two — 250 times the linear
 // run, 15 times the linear run under -race, a 40th of the quadratic one —
 // so it neither flakes on a slow machine nor passes a quadratic verifier.
+//
+// The second case refines the shape with a FUP into three components, so
+// the open also checks two coarser components through their finer
+// neighbours: "a" keeps its wide extent and fan children in every
+// component, which a pair pass superlinear in extents or fan would show.
 func TestVerifiedOpenIsNotQuadratic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 600k-node graph")
@@ -59,26 +65,51 @@ func TestVerifiedOpenIsNotQuadratic(t *testing.T) {
 		deadline = 2 * time.Second
 	)
 	g := cliffGraph(t, wide, fan)
-	fm := core.NewMStar(g).Freeze()
 	a, ok := g.LabelIDOf("a")
 	if !ok {
 		t.Fatal("label a missing")
 	}
-	i0 := fm.Component(0)
-	an := i0.NodesWithLabel(a)
-	if len(an) != 1 || i0.Size(an[0]) < wide || len(i0.Children(an[0])) < fan || len(i0.Children(i0.Root())) < fan {
-		t.Fatalf("test graph lost its shape: %d a-nodes", len(an))
-	}
-	enc := encode(t, fm, WriteOptions{})
+	for _, tc := range []struct {
+		name  string
+		fups  []string
+		comps int
+	}{
+		{"I0", nil, 1},
+		{"fup", []string{"//root/a/b0"}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ms := core.NewMStar(g)
+			for _, s := range tc.fups {
+				e, err := pathexpr.Parse(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms.Support(e)
+			}
+			fm := ms.Freeze()
+			if fm.NumComponents() < tc.comps {
+				t.Fatalf("%d components, want at least %d", fm.NumComponents(), tc.comps)
+			}
+			for i := 0; i < fm.NumComponents(); i++ {
+				c := fm.Component(i)
+				an := c.NodesWithLabel(a)
+				if len(an) != 1 || c.Size(an[0]) < wide || len(c.Children(an[0])) < fan || len(c.Children(c.Root())) < fan {
+					t.Fatalf("test graph lost its shape in I%d: %d a-nodes", i, len(an))
+				}
+			}
+			enc := encode(t, fm, WriteOptions{})
 
-	start := time.Now()
-	snap, err := OpenBytes(enc, g, Options{})
-	took := time.Since(start)
-	if err != nil {
-		t.Fatalf("OpenBytes: %v", err)
-	}
-	t.Logf("verified open of %d data nodes, %d index edges: %v", g.NumNodes(), snap.FrozenMStar().Component(0).NumEdges(), took)
-	if took > deadline {
-		t.Fatalf("verified open took %v, over the %v that only superlinear verification can need", took, deadline)
+			start := time.Now()
+			snap, err := OpenBytes(enc, g, Options{})
+			took := time.Since(start)
+			if err != nil {
+				t.Fatalf("OpenBytes: %v", err)
+			}
+			t.Logf("verified open of %d data nodes, %d components, %d index edges in I0: %v",
+				g.NumNodes(), fm.NumComponents(), snap.FrozenMStar().Component(0).NumEdges(), took)
+			if took > deadline {
+				t.Fatalf("verified open took %v, over the %v that only superlinear verification can need", took, deadline)
+			}
+		})
 	}
 }

@@ -8,8 +8,8 @@
 // core.FrozenMStar directly over the mapped bytes. Nothing is deserialized:
 // the kernel pages index data in on first touch, and an index larger than
 // RAM serves from disk with the page cache as its buffer pool. A trusted
-// open is O(1) in index size; the default verified open reads everything
-// once.
+// open is linear in the index nodes (it builds the subnode links); the
+// default verified open reads everything once.
 //
 // File layout (all multi-byte fields in the file's byte order, which the
 // reader detects from the byte-order mark):
@@ -31,12 +31,13 @@
 // at open; everything else still serves from the mapping).
 //
 // Safety model: Open fully verifies untrusted files by default — directory
-// and per-section checksums, then a deep structural walk
-// (index.Frozen.Verify, then the nesting check of
-// core.AssembleFrozenMStar) — so a truncated, bit-flipped, or adversarial
-// file is rejected with an error, never a panic, over-read, or silently
-// wrong answer. The whole check is linear in the file plus the data graph
-// and runs one component per core. Options.Trusted skips the checksums and
+// and per-section checksums and index.Frozen.VerifyShape per component,
+// then core.AssembleFrozenMStar's nesting check and edge check, the finest
+// component's against the data graph and every coarser one's through its
+// finer neighbour — so a truncated, bit-flipped, or adversarial file is
+// rejected with an error, never a panic, over-read, or silently wrong
+// answer. The whole check is linear in the file plus the data graph, reads
+// the data graph's edges once, and runs on every core. Options.Trusted skips the checksums and
 // the deep walk for files the process just published itself, keeping
 // reopen linear in the index nodes alone (the subnode links are built at
 // assembly, bounds-checked).

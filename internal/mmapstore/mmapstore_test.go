@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"mrx/internal/core"
 	"mrx/internal/graph"
 	"mrx/internal/gtest"
+	"mrx/internal/index"
 	"mrx/internal/pathexpr"
 )
 
@@ -365,6 +367,96 @@ func TestParallelRejectionIsDeterministic(t *testing.T) {
 					} else if err.Error() != first {
 						t.Fatalf("I%d+I%d damaged (resealed %v): error changed between opens: %q then %q", i, j, sealed, first, err)
 					}
+				}
+			}
+		}
+	}
+}
+
+// dropChildEdge returns fm with one child edge of each listed component
+// deleted, its parent counterpart with it, and every section resealed:
+// a snapshot whose shapes and nesting are sound but whose edges are not
+// the ones the data graph induces. Node u's first child edge goes; u is
+// the first node with one.
+func dropChildEdge(tb testing.TB, fm *core.FrozenMStar, comps ...int) *core.FrozenMStar {
+	tb.Helper()
+	out := make([]*index.Frozen, fm.NumComponents())
+	for i := range out {
+		out[i] = fm.Component(i)
+	}
+	for _, i := range comps {
+		a := fm.Component(i).Arrays()
+		u := 0
+		for u < len(a.ChildStart)-1 && a.ChildStart[u] == a.ChildStart[u+1] {
+			u++
+		}
+		if u == len(a.ChildStart)-1 {
+			tb.Fatalf("component I%d has no edge to drop", i)
+		}
+		at := a.ChildStart[u]
+		c := a.Children[at]
+		pat := a.ParentStart[c] + int32(slices.Index(a.Parents[a.ParentStart[c]:a.ParentStart[c+1]], index.FrozenID(u)))
+		a = index.FrozenArrays{
+			Retired: a.Retired, Ks: a.Ks, Labels: a.Labels,
+			ExtentStart: a.ExtentStart, ExtentArena: a.ExtentArena,
+			ChildStart:  shiftAfter(a.ChildStart, u),
+			Children:    slices.Delete(slices.Clone(a.Children), int(at), int(at)+1),
+			ParentStart: shiftAfter(a.ParentStart, int(c)),
+			Parents:     slices.Delete(slices.Clone(a.Parents), int(pat), int(pat)+1),
+			LabelStart:  a.LabelStart, LabelNodes: a.LabelNodes, NodeOf: a.NodeOf,
+		}
+		fz, err := index.FrozenFromArrays(fm.Data(), a)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = fz
+	}
+	re, err := core.AssembleFrozenMStar(fm.Data(), out, fm.Options(), false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return re
+}
+
+// shiftAfter returns a copy of the offsets with every one past node v's
+// start lowered by one: v's list lost an entry.
+func shiftAfter(start []int32, v int) []int32 {
+	out := slices.Clone(start)
+	for i := v + 1; i < len(out); i++ {
+		out[i]--
+	}
+	return out
+}
+
+// TestCSRDamageBlamesFinest drops a child edge in two components I(i) and
+// I(j), i < j, so that both fail their edge check — and I(i)'s check also
+// reads the damaged I(j) when j = i+1. Edge errors are resolved finest
+// first, so the error must name I(j), word for word on every open, on more
+// workers than components.
+func TestCSRDamageBlamesFinest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	g, fm, _ := testIndex(t, 11)
+	nc := fm.NumComponents()
+	if nc < 3 {
+		t.Fatalf("need three components, have %d", nc)
+	}
+	for i := 0; i < nc; i++ {
+		for j := i + 1; j < nc; j++ {
+			bad := encode(t, dropChildEdge(t, fm, i, j), WriteOptions{})
+			name := fmt.Sprintf("component I%d:", j)
+			var first string
+			for rep := 0; rep < 25; rep++ {
+				_, err := OpenBytes(bad, g, Options{})
+				if err == nil {
+					t.Fatalf("I%d+I%d lost an edge: accepted", i, j)
+				}
+				if !strings.Contains(err.Error(), name) {
+					t.Fatalf("I%d+I%d lost an edge: error %q does not name I%d", i, j, err, j)
+				}
+				if rep == 0 {
+					first = err.Error()
+				} else if err.Error() != first {
+					t.Fatalf("I%d+I%d lost an edge: error changed between opens: %q then %q", i, j, first, err)
 				}
 			}
 		}

@@ -122,14 +122,16 @@ func (m *Mark) Seen(v index.FrozenID) bool { return m.stamp[v] == m.round }
 func (m *Mark) Set(v index.FrozenID) { m.stamp[v] = m.round }
 
 // Scratch is the per-query traversal state of the frozen read path: one
-// visited-set Mark and two frontier buffers that a traversal alternates
+// visited-set Mark, two frontier buffers that a traversal alternates
 // between (it reads Cur and appends the next frontier into Spare, then the
-// two swap). Queries take one from a process-wide pool and return it when
-// done, so steady-state serving allocates none of it; each buffer grows to
-// the largest frontier it has held.
+// two swap), and Memo, the (node, step) table of the subpath strategy's
+// backward prefix checks. Queries take one from a process-wide pool and
+// return it when done, so steady-state serving allocates none of it; each
+// buffer grows to the largest size it has held.
 type Scratch struct {
 	Mark       Mark
 	Cur, Spare []index.FrozenID
+	Memo       []uint8
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}

@@ -8,6 +8,7 @@ import (
 	"mrx/internal/datagen"
 	"mrx/internal/graph"
 	"mrx/internal/gtest"
+	"mrx/internal/mmapstore"
 	"mrx/internal/pathexpr"
 	"mrx/internal/query"
 	"mrx/internal/store"
@@ -313,14 +314,16 @@ func TestStateLifecycle(t *testing.T) {
 }
 
 // The cold-restart path — store.ReadGraph, then Partition and the Induce
-// it runs per shard — allocates O(labels + shards + log n), never once per
-// node: doubling the graph at a fixed component count may grow each step's
+// it runs per shard, then the verified mmapstore open of the index —
+// allocates O(labels + shards + components + log n), never once per node:
+// doubling the graph at a fixed component count may grow each step's
 // allocation count by at most half.
 func TestRestartPathAllocsScale(t *testing.T) {
 	if gtest.RaceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	allocs := func(nodes int) (read, part, induce float64) {
+	fups := []*pathexpr.Expr{mustParse(t, "//l1/l2/l3"), mustParse(t, "//l4/l5")}
+	allocs := func(nodes int) (read, part, induce, open float64) {
 		g := gtest.New(9, gtest.Options{Nodes: nodes, Labels: 8, RefProb: 0.1, Components: 6})
 		var buf bytes.Buffer
 		if err := store.WriteGraph(&buf, g); err != nil {
@@ -338,14 +341,31 @@ func TestRestartPathAllocsScale(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		return read, part, induce
+		ms := core.NewMStar(g)
+		for _, e := range fups {
+			ms.Support(e)
+		}
+		fm := ms.Freeze()
+		if fm.NumComponents() != 3 {
+			t.Fatalf("%d nodes: %d components, want 3", nodes, fm.NumComponents())
+		}
+		buf.Reset()
+		if err := mmapstore.Write(&buf, fm, mmapstore.WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		open = testing.AllocsPerRun(3, func() {
+			if _, err := mmapstore.OpenBytes(buf.Bytes(), g, mmapstore.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return read, part, induce, open
 	}
-	r1, p1, i1 := allocs(4000)
-	r2, p2, i2 := allocs(8000)
+	r1, p1, i1, o1 := allocs(4000)
+	r2, p2, i2, o2 := allocs(8000)
 	for _, step := range []struct {
 		name   string
 		n, n2x float64
-	}{{"ReadGraph", r1, r2}, {"Partition", p1, p2}, {"Induce", i1, i2}} {
+	}{{"ReadGraph", r1, r2}, {"Partition", p1, p2}, {"Induce", i1, i2}, {"OpenBytes", o1, o2}} {
 		if step.n2x > 1.5*step.n {
 			t.Errorf("%s: %.0f allocations at 4000 nodes, %.0f at 8000", step.name, step.n, step.n2x)
 		}

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"math"
 	"slices"
 
 	"mrx/internal/graph"
@@ -95,66 +97,104 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 	return cw.w.Flush()
 }
 
+// decoder reads the varints of a graph file; rest is what is left of it.
+// Once the input ends inside a varint or a value overflows, it sets
+// truncated and returns 0 until a check sees it.
+type decoder struct {
+	rest      []byte
+	truncated bool
+}
+
+// uvarint decodes the next varint. Most varints of a graph file are one
+// byte — labels, degrees, kinds and the deltas of sorted child lists — so
+// that case is decoded here; a byte below 0x80 is exactly what
+// binary.Uvarint would decode with length 1.
+func (d *decoder) uvarint() uint64 {
+	if len(d.rest) > 0 && d.rest[0] < 0x80 {
+		x := d.rest[0]
+		d.rest = d.rest[1:]
+		return uint64(x)
+	}
+	return d.uvarintLong()
+}
+
+// uvarintLong is uvarint for a varint of two bytes or more, or none.
+func (d *decoder) uvarintLong() uint64 {
+	x, n := binary.Uvarint(d.rest)
+	if n <= 0 {
+		d.truncated = true
+		return 0
+	}
+	d.rest = d.rest[n:]
+	return x
+}
+
+// readAll reads r to its end. A regular file is read into a buffer sized
+// by its Stat size, so reading it takes no regrowth and no copy; any other
+// reader, or a file too large for an int32 size, grows the buffer as
+// io.ReadAll does.
+func readAll(r io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() && fi.Size() <= math.MaxInt32-bytes.MinRead {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("store: graph: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
 // ReadGraph deserializes a data graph. LabelID l is entry l of the file's
 // label table, which must not name a label twice; unused entries are kept,
 // so a WriteGraph/ReadGraph round trip preserves every LabelID. Errors name
 // the corrupt section of the file; no input, truncated or corrupted, makes
 // it panic or allocate beyond the sanity caps and what its length can hold.
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("store: graph: %w", err)
+		return nil, err
 	}
 	if !bytes.HasPrefix(data, []byte(graphMagic)) {
 		return nil, fmt.Errorf("store: graph magic: want %q", graphMagic)
 	}
-	off, truncated := len(graphMagic), false
-	// uvarint decodes the next varint. Once the input ends inside one or a
-	// value overflows, it sets truncated and returns 0 until a check sees it.
-	uvarint := func() uint64 {
-		x, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			truncated = true
-			return 0
-		}
-		off += n
-		return x
-	}
+	d := decoder{rest: data[len(graphMagic):]}
 	// A count is checked against the bytes left before it sizes anything:
 	// a label takes at least one byte, a node at least two.
-	nLabels := uvarint()
-	if truncated || nLabels > min(maxSaneLabels, uint64(len(data)-off)) {
+	nLabels := d.uvarint()
+	if d.truncated || nLabels > min(maxSaneLabels, uint64(len(d.rest))) {
 		return nil, fmt.Errorf("store: graph label count %d: truncated or beyond sanity limit", nLabels)
 	}
 	labels := make([]string, nLabels)
 	for i := range labels {
-		n := uvarint()
-		if truncated || n > min(maxSaneString, uint64(len(data)-off)) {
+		n := d.uvarint()
+		if d.truncated || n > min(maxSaneString, uint64(len(d.rest))) {
 			return nil, fmt.Errorf("store: graph label %d: truncated or beyond sanity limit", i)
 		}
-		labels[i] = string(data[off : off+int(n)])
-		off += int(n)
+		labels[i] = string(d.rest[:n])
+		d.rest = d.rest[n:]
 	}
-	nNodes := uvarint()
-	if truncated || nNodes > min(maxSaneNodes, uint64(len(data)-off)/2) {
+	nNodes := d.uvarint()
+	if d.truncated || nNodes > min(maxSaneNodes, uint64(len(d.rest))/2) {
 		return nil, fmt.Errorf("store: graph node count %d: truncated or beyond sanity limit", nNodes)
 	}
 	nodeLabel := make([]graph.LabelID, nNodes)
 	for v := range nodeLabel {
-		li := uvarint()
+		li := d.uvarint()
 		if li >= nLabels {
 			return nil, fmt.Errorf("store: node %d has label %d out of range", v, li)
 		}
 		nodeLabel[v] = graph.LabelID(li)
 	}
-	if truncated {
+	if d.truncated {
 		return nil, errors.New("store: graph node labels: truncated")
 	}
 	// Edges: per node, out-degree then (delta-coded child, kind) pairs. Each
 	// varint ends in the one byte of it below 0x80, so counting those sizes
 	// the edge arrays exactly for any file WriteGraph wrote.
 	varints := 0
-	for _, c := range data[off:] {
+	for _, c := range d.rest {
 		if c < 0x80 {
 			varints++
 		}
@@ -164,7 +204,7 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 	children := make([]graph.NodeID, 0, maxEdges)
 	childKind := make([]graph.EdgeKind, 0, maxEdges)
 	for v := uint64(0); v < nNodes; v++ {
-		deg := uvarint()
+		deg := d.uvarint()
 		if deg > nNodes {
 			return nil, fmt.Errorf("store: node %d has degree %d out of range", v, deg)
 		}
@@ -172,9 +212,9 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 		prev := int64(0)
 		for i := uint64(0); i < deg; i++ {
 			// Computed, truncated and checked as the Builder-based reader did.
-			child := prev + int64(uvarint())
+			child := prev + int64(d.uvarint())
 			prev = child
-			to, kind := graph.NodeID(child), uvarint()
+			to, kind := graph.NodeID(child), d.uvarint()
 			if child >= int64(nNodes) || to <= 0 || int64(to) >= int64(nNodes) || to == graph.NodeID(v) || kind > uint64(graph.RefEdge) {
 				return nil, fmt.Errorf("store: node %d has edge to %d of kind %d: out of range, into the root or a self-loop", v, child, kind)
 			}
@@ -182,7 +222,7 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 			children = append(children, to)
 			childKind = append(childKind, graph.EdgeKind(kind))
 		}
-		if truncated {
+		if d.truncated {
 			return nil, fmt.Errorf("store: graph node %d edges: truncated", v)
 		}
 		if !ascending {
